@@ -51,6 +51,20 @@ rm -f /tmp/dist_smoke.json
 dune exec bench/main.exe -- dist --quick
 test -s BENCH_dist.quick.json
 
+# Pinned distribution ablation: the full run must reproduce the committed
+# BENCH_dist.json byte for byte.  Every scenario's attempt, failure, timeout,
+# stale and cross-region count depends on the fetch ladder's draw order, so
+# any change to that order shows up here.
+dist_out=$(mktemp)
+dune exec bench/main.exe -- dist --out "$dist_out" > /dev/null
+if ! cmp -s "$dist_out" BENCH_dist.json; then
+  echo "dist: output differs from the committed BENCH_dist.json" >&2
+  diff "$dist_out" BENCH_dist.json >&2 || true
+  rm -f "$dist_out"
+  exit 1
+fi
+rm -f "$dist_out"
+
 # Discrete-event push smoke test: a short rolling push routed through a
 # faulty delivery network must serve traffic (nonzero sim.* counters),
 # jump-start every restarted server and finish with zero crashes.

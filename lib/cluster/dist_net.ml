@@ -1,5 +1,6 @@
 module R = Js_util.Rng
 module Backoff = Js_util.Backoff
+module L = Jumpstart.Fetch_ladder
 
 type config = {
   regions : int;
@@ -36,14 +37,10 @@ let active c =
   c.fetch_fail_rate > 0. || c.fetch_timeout > 0. || c.fetch_latency_mean > 0.
   || c.stale_rate > 0. || c.publish_latency_mean > 0. || c.cross_region || c.regions > 1
 
-type counters = {
-  mutable attempts : int;
-  mutable failures : int;
-  mutable timeouts : int;
-  mutable stale_rejects : int;
-  mutable cross_region_fetches : int;
-  mutable deliveries : int;
-  mutable empty_probes : int;
+type counters = L.counters = {
+  mutable attempts : int; mutable failures : int; mutable timeouts : int;
+  mutable stale_rejects : int; mutable cross_region_fetches : int;
+  mutable deliveries : int; mutable empty_probes : int;
 }
 
 (* One replica of a published package in one region, visible to fetches once
@@ -52,6 +49,7 @@ type replica = { pkg : Server.package; visible_from : float }
 
 type t = {
   cfg : config;
+  net : L.network;
   replicas : (int * int, replica list ref) Hashtbl.t;
   (* One counter shard per fetcher home region.  [fetch ~region:home] only
      touches [shards.(home)], so when the parallel simulator runs each region
@@ -68,23 +66,16 @@ type t = {
   mutable has_faults : bool;
 }
 
-let fresh_counters () =
-  {
-    attempts = 0;
-    failures = 0;
-    timeouts = 0;
-    stale_rejects = 0;
-    cross_region_fetches = 0;
-    deliveries = 0;
-    empty_probes = 0;
-  }
-
 let create cfg =
   if cfg.regions < 1 then invalid_arg "Dist_net.create: regions < 1";
   {
     cfg;
+    net =
+      { L.fetch_fail_rate = cfg.fetch_fail_rate; fetch_timeout = cfg.fetch_timeout;
+        latency_mean = cfg.fetch_latency_mean; tail_prob = cfg.tail_prob;
+        tail_alpha = cfg.tail_alpha; stale_rate = cfg.stale_rate };
     replicas = Hashtbl.create 16;
-    shards = Array.init cfg.regions (fun _ -> fresh_counters ());
+    shards = Array.init cfg.regions (fun _ -> L.fresh_counters ());
     down_from = Array.make cfg.regions infinity;
     part_from = Array.make cfg.regions infinity;
     part_until = Array.make cfg.regions infinity;
@@ -92,18 +83,10 @@ let create cfg =
   }
 
 let counters t =
-  let acc = fresh_counters () in
-  Array.iter
-    (fun c ->
-      acc.attempts <- acc.attempts + c.attempts;
-      acc.failures <- acc.failures + c.failures;
-      acc.timeouts <- acc.timeouts + c.timeouts;
-      acc.stale_rejects <- acc.stale_rejects + c.stale_rejects;
-      acc.cross_region_fetches <- acc.cross_region_fetches + c.cross_region_fetches;
-      acc.deliveries <- acc.deliveries + c.deliveries;
-      acc.empty_probes <- acc.empty_probes + c.empty_probes)
-    t.shards;
+  let acc = L.fresh_counters () in
+  Array.iter (fun c -> L.add_counters ~into:acc c) t.shards;
   acc
+
 let config t = t.cfg
 
 let check_region t region name =
@@ -124,9 +107,6 @@ let set_region_partition t ~region ~from_ ~until =
   t.has_faults <- true
 
 let region_down t ~region ~now = now >= t.down_from.(region)
-
-let partitioned t ~region ~now =
-  now >= t.part_from.(region) && now < t.part_until.(region)
 
 let slot t ~region ~bucket =
   match Hashtbl.find_opt t.replicas (region, bucket) with
@@ -166,131 +146,49 @@ type outcome =
   | Unavailable of float
   | Not_found
 
+(* Uninhabited: the fleet's probe never refuses a package. *)
+type never = |
+
+(* The probe of the fleet's ladder.  Replication is visible only once
+   [now + elapsed] passes a replica's [visible_from] (backing off while a
+   push propagates lets late replicas appear), and a stale replica sends the
+   ladder back for a fresh copy rather than ending it.  An inactive network
+   draws only the pick, as the historical [Rng.pick rng (Array.of_list l)]
+   did, and neither counts nor emits telemetry. *)
 let fetch ?telemetry t rng ~now ~region:home ~bucket =
   check_region t home "Dist_net.fetch";
-  let all = bucket_replicas t ~region:home ~bucket in
-  if not (active t.cfg || t.has_faults) then
-    (* draw-identical to the historical [Rng.pick rng (Array.of_list l)] *)
-    match all with
-    | [] -> Not_found
-    | l -> Delivered ((List.nth l (R.int rng (List.length l))).pkg, 0.)
-  else begin
-    let tel f =
-      match telemetry with
-      | Some s -> f s
-      | None -> ()
-    in
-    let c = t.shards.(home) in
-    let delay = ref 0. in
-    let failed = ref 0 and timed_out = ref 0 and saw_package = ref false in
-    let try_once ~region ~cross =
-      c.attempts <- c.attempts + 1;
-      tel (fun s ->
-          Js_telemetry.incr s "dist.fetch_attempts";
-          if cross then Js_telemetry.incr s "dist.cross_region");
-      if cross then c.cross_region_fetches <- c.cross_region_fetches + 1;
-      if
-        (* disaster windows first: a down target store or a partitioned
-           fetcher fails the attempt before any randomness is consumed *)
-        region_down t ~region ~now:(now +. !delay)
-        || partitioned t ~region:home ~now:(now +. !delay)
-      then begin
-        c.failures <- c.failures + 1;
-        incr failed;
-        tel (fun s -> Js_telemetry.incr s "dist.fetch_failures");
-        `Retry
-      end
-      else if t.cfg.fetch_fail_rate > 0. && R.bool rng t.cfg.fetch_fail_rate then begin
-        c.failures <- c.failures + 1;
-        incr failed;
-        tel (fun s -> Js_telemetry.incr s "dist.fetch_failures");
-        `Retry
-      end
-      else begin
-        let lat =
-          if t.cfg.fetch_latency_mean <= 0. then 0.
-          else if t.cfg.tail_prob > 0. && R.bool rng t.cfg.tail_prob then
-            R.pareto rng ~alpha:t.cfg.tail_alpha ~x_min:t.cfg.fetch_latency_mean
-          else R.exponential rng ~mean:t.cfg.fetch_latency_mean
-        in
-        if t.cfg.fetch_timeout > 0. && lat > t.cfg.fetch_timeout then begin
-          c.timeouts <- c.timeouts + 1;
-          incr timed_out;
-          delay := !delay +. t.cfg.fetch_timeout;
-          tel (fun s -> Js_telemetry.incr s "dist.timeouts");
-          `Retry
-        end
-        else begin
-          let visible =
-            (* time already spent waiting in this ladder counts: backing off
-               while a push propagates lets late replicas become visible *)
-            List.filter
-              (fun r -> r.visible_from <= now +. !delay)
-              (bucket_replicas t ~region ~bucket)
-          in
-          match visible with
-          | [] ->
-            c.empty_probes <- c.empty_probes + 1;
-            `Empty
-          | l ->
-            saw_package := true;
-            delay := !delay +. lat;
-            let r = List.nth l (R.int rng (List.length l)) in
-            if t.cfg.stale_rate > 0. && R.bool rng t.cfg.stale_rate then begin
-              (* this replica still holds the previous release's package;
-                 the consumer's fingerprint gate rejects it and the ladder
-                 retries for a fresh copy *)
-              c.stale_rejects <- c.stale_rejects + 1;
-              tel (fun s -> Js_telemetry.incr s "dist.stale_rejects");
-              `Retry
-            end
-            else begin
-              c.deliveries <- c.deliveries + 1;
-              tel (fun s ->
-                  Js_telemetry.observe s ~lo:0. ~hi:120. ~buckets:24 "dist.fetch_seconds" lat);
-              `Delivered r.pkg
-            end
-        end
-      end
-    in
-    let rec home_attempts k =
-      if k >= t.cfg.backoff.Backoff.max_attempts then `Exhausted
-      else
-        match try_once ~region:home ~cross:false with
-        | `Delivered pkg -> `Delivered pkg
-        | `Empty ->
-          (* an empty replica set only fills up via publish latency; backing
-             off and retrying is the right move while the push propagates *)
-          if k + 1 < t.cfg.backoff.Backoff.max_attempts && t.cfg.publish_latency_mean > 0.
-          then begin
-            delay := !delay +. Backoff.delay t.cfg.backoff rng ~attempt:k;
-            home_attempts (k + 1)
-          end
-          else `Exhausted
-        | `Retry ->
-          if k + 1 < t.cfg.backoff.Backoff.max_attempts then
-            delay := !delay +. Backoff.delay t.cfg.backoff rng ~attempt:k;
-          home_attempts (k + 1)
-    in
-    let rec foreign_regions = function
-      | [] -> `Exhausted
-      | r :: rest -> (
-        match try_once ~region:r ~cross:true with
-        | `Delivered pkg -> `Delivered pkg
-        | `Empty | `Retry -> foreign_regions rest)
-    in
-    let verdict =
-      match home_attempts 0 with
-      | `Exhausted when t.cfg.cross_region ->
-        foreign_regions (List.filter (fun r -> r <> home) (List.init t.cfg.regions Fun.id))
-      | v -> v
-    in
-    match verdict with
-    | `Delivered pkg -> Delivered (pkg, !delay)
-    | `Exhausted ->
-      if (not !saw_package) && !failed = 0 && !timed_out = 0 then Not_found
-      else Unavailable !delay
-  end
+  let live = active t.cfg || t.has_faults in
+  (* disaster windows: a down target store or a partitioned fetcher fails
+     the attempt before any randomness is consumed *)
+  let reachable ~region ~elapsed =
+    let at = now +. elapsed in
+    not (region_down t ~region ~now:at || (at >= t.part_from.(home) && at < t.part_until.(home)))
+  in
+  let probe ~region ~elapsed : (Server.package, never) L.probe =
+    match
+      List.filter (fun r -> r.visible_from <= now +. elapsed) (bucket_replicas t ~region ~bucket)
+    with
+    | [] -> L.Nothing
+    | l ->
+      let r = List.nth l (R.int rng (List.length l)) in
+      if t.net.L.stale_rate > 0. && R.bool rng t.net.L.stale_rate then L.Stale else L.Found r.pkg
+  in
+  let foreign =
+    if t.cfg.cross_region then List.filter (fun r -> r <> home) (List.init t.cfg.regions Fun.id)
+    else []
+  in
+  let o =
+    L.run
+      ~telemetry:(if live then telemetry else None)
+      t.net t.cfg.backoff rng ~home ~foreign ~retry_empty:(t.cfg.publish_latency_mean > 0.)
+      ~reachable ~probe
+  in
+  if live then L.add_counters ~into:t.shards.(home) o.L.counters;
+  match o.L.verdict with
+  | L.Delivered pkg -> Delivered (pkg, o.L.delay)
+  | L.Rejected (_ : never) -> .
+  | L.Unavailable -> Unavailable o.L.delay
+  | L.No_package -> Not_found
 
 let pp_counters fmt c =
   Format.fprintf fmt

@@ -1,16 +1,13 @@
 (** Simulated package-delivery network for the fleet simulation (macro
-    level; the micro-level twin is {!Jumpstart.Dist_store}).
+    level; the micro level is {!Jumpstart.Dist_store}).
 
-    Models the distributed-storage service between C2 seeders and C3
-    consumers: per-(region, bucket) replica sets of {!Server.package}s,
-    publish (replication) latency, transient fetch failures, a latency
-    distribution (exponential body + optional Pareto tail) with per-attempt
-    timeouts, and stale replicas that still hold the previous release's
-    package.  Consumers fetch through a policy ladder: bounded retries with
-    exponential backoff and deterministic jitter ({!Js_util.Backoff}), then
-    one cross-region fallback fetch per foreign region, then
-    {!Unavailable} — the fleet degrades that server to a no-Jump-Start
-    boot.
+    Per-(region, bucket) replica sets of {!Server.package}s between C2
+    seeders and C3 consumers, fetched through {!Jumpstart.Fetch_ladder}.
+    This layer's probe adds disaster windows (checked before any draw),
+    replica visibility at [now + elapsed] under publish latency, stale
+    replicas that retry rather than end the ladder, and retrying an empty
+    bucket while a publish propagates.  A ladder that gives up returns
+    {!Unavailable}; the fleet boots that server without Jump-Start.
 
     {b RNG neutrality}: with the {!default_config} (all rates and latencies
     zero, one region, cross-region off), {!active} is [false] and a fetch
@@ -36,24 +33,15 @@ val default_config : config
 (** Does this config change behaviour at all vs. a direct store pick? *)
 val active : config -> bool
 
-(** Fetch-ladder counters (updated only when {!active}).  The ladder
-    invariant: [attempts = deliveries + failures + timeouts + stale_rejects
-    + empty_probes].
-
-    Internally the store keeps one shard per fetcher {e home} region and
-    [fetch ~region:home] touches only that shard — the single-writer
-    discipline the parallel simulator relies on when regions run on separate
-    domains.  {!counters} folds the shards (commutative integer addition)
-    into a fresh snapshot, so totals are independent of region execution
-    order; the returned record is a snapshot, not a live view. *)
-type counters = {
-  mutable attempts : int;
-  mutable failures : int;
-  mutable timeouts : int;
-  mutable stale_rejects : int;
-  mutable cross_region_fetches : int;  (** subset of [attempts] *)
-  mutable deliveries : int;
-  mutable empty_probes : int;  (** attempts that found no visible replica *)
+(** The ladder's counters, updated only when {!active}.  One shard per
+    fetcher {e home} region, and [fetch ~region:home] touches only that
+    shard: the single-writer discipline the parallel simulator relies on.
+    {!counters} sums the shards into a fresh snapshot, so totals do not
+    depend on region execution order. *)
+type counters = Jumpstart.Fetch_ladder.counters = {
+  mutable attempts : int; mutable failures : int; mutable timeouts : int;
+  mutable stale_rejects : int; mutable cross_region_fetches : int;
+  mutable deliveries : int; mutable empty_probes : int;
 }
 
 type t
@@ -84,14 +72,6 @@ val set_region_down : t -> region:int -> from_:float -> unit
     scenario. *)
 val set_region_partition : t -> region:int -> from_:float -> until:float -> unit
 
-(** [region_down t ~region ~now] — is the region's store unreachable at
-    [now]? *)
-val region_down : t -> region:int -> now:float -> bool
-
-(** [partitioned t ~region ~now] — is the region's fetcher side inside its
-    partition window at [now]? *)
-val partitioned : t -> region:int -> now:float -> bool
-
 (** [publish t rng ~now ~bucket pkg] replicates [pkg] into every region
     whose store is reachable at [now];
     with publish latency, each region's copy becomes fetchable after an
@@ -104,12 +84,8 @@ type outcome =
   | Not_found  (** no reachable region holds a visible replica *)
 
 (** [fetch t rng ~now ~region ~bucket] — one consumer's package fetch at
-    simulation time [now].  With [telemetry] (and an {!active} config):
-    attempts bump [dist.fetch_attempts] (foreign-region ones also
-    [dist.cross_region]), failures [dist.fetch_failures], timeouts
-    [dist.timeouts], stale deliveries [dist.stale_rejects]; successful
-    deliveries observe their latency in the [dist.fetch_seconds]
-    histogram. *)
+    simulation time [now].  With [telemetry] and an {!active} config it
+    emits the ladder's [dist.*] telemetry. *)
 val fetch :
   ?telemetry:Js_telemetry.t ->
   t ->

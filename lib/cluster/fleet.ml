@@ -56,10 +56,7 @@ type seeding = {
 type member = {
   bucket : int;
   mutable server : Server.t;
-  mutable started_at : float;
   mutable attempts : int;
-  mutable fell_back : bool;
-  mutable crash_count : int;
   seed_base : int;
 }
 
@@ -141,6 +138,32 @@ let forced_seeding config app ~bad_per_bucket =
     bad_published = config.n_buckets * bad_n;
   }
 
+type fallback = No_package | Fetch_failed | Exhausted_attempts of int
+
+let fallback_reason = function
+  | No_package -> "no profile package available"
+  | Fetch_failed -> "package fetch failed: distribution network unavailable"
+  | Exhausted_attempts n -> Printf.sprintf "exhausted %d boot attempts (bad package)" n
+
+(* §VI-A: fetch while boot attempts remain (or fallback is off), otherwise
+   boot without Jump-Start.  A no-Jump-Start boot is a fallback when its
+   bucket has no package, the fetch ladder gave up, or the server already
+   crashed. *)
+let boot_role ~telemetry config net rng ~now ~region ~bucket ~attempts ~no_packages =
+  let fallback ~fetch_failed =
+    if no_packages then Some No_package
+    else if fetch_failed then Some Fetch_failed
+    else if attempts > 0 then Some (Exhausted_attempts attempts)
+    else None
+  in
+  if config.fallback_enabled && attempts >= config.max_boot_attempts then
+    (Server.No_jumpstart, 0., fallback ~fetch_failed:false)
+  else
+    match Dist_net.fetch ?telemetry net rng ~now ~region ~bucket with
+    | Dist_net.Delivered (pkg, d) -> (Server.Consumer pkg, d, None)
+    | Dist_net.Unavailable d -> (Server.No_jumpstart, d, fallback ~fetch_failed:true)
+    | Dist_net.Not_found -> (Server.No_jumpstart, 0., fallback ~fetch_failed:false)
+
 let simulate_push ?telemetry config ?force_bad_per_bucket app ~seed ~bad_package_rate
     ~thin_profile_rate ~duration =
   let tel f =
@@ -174,38 +197,28 @@ let simulate_push ?telemetry config ?force_bad_per_bucket app ~seed ~bad_package
   let bucket_fallbacks = Array.make config.n_buckets 0 in
   let boot_member ~ix ~bucket ~seed_base ~attempts ~at =
     let source = Printf.sprintf "server.%d" ix in
-    let no_packages = seeding.per_bucket.(bucket) = [] in
-    let role, fetch_delay, fetch_failed =
-      if (not config.fallback_enabled) || attempts < config.max_boot_attempts then begin
-        match
-          Dist_net.fetch ?telemetry net rng ~now:at ~region:config.home_region ~bucket
-        with
-        | Dist_net.Delivered (pkg, d) -> (Server.Consumer pkg, d, false)
-        | Dist_net.Unavailable d -> (Server.No_jumpstart, d, true)
-        | Dist_net.Not_found -> (Server.No_jumpstart, 0., false)
-      end
-      else (Server.No_jumpstart, 0., false)
+    let role, fetch_delay, fallback =
+      boot_role ~telemetry config net rng ~now:at ~region:config.home_region ~bucket ~attempts
+        ~no_packages:(seeding.per_bucket.(bucket) = [])
     in
+    (match fallback with
+    | Some f ->
+      incr fallbacks;
+      bucket_fallbacks.(bucket) <- bucket_fallbacks.(bucket) + 1;
+      tel (fun t ->
+          let outcome =
+            match f with
+            | No_package -> "no_package"
+            | Fetch_failed -> "fetch_failed"
+            | Exhausted_attempts _ -> "fallback"
+          in
+          Js_telemetry.incr t "fleet.boot_attempts";
+          Js_telemetry.incr t "fleet.fallbacks";
+          Js_telemetry.record t
+            (Js_telemetry.Boot_attempt { source; attempt = attempts + 1; outcome });
+          Js_telemetry.record t (Js_telemetry.Fallback { source; reason = fallback_reason f }))
+    | None -> ());
     (match role with
-    | Server.No_jumpstart ->
-      if attempts > 0 || no_packages || fetch_failed then begin
-        incr fallbacks;
-        bucket_fallbacks.(bucket) <- bucket_fallbacks.(bucket) + 1;
-        tel (fun t ->
-            let outcome, reason =
-              if no_packages then ("no_package", "no profile package available")
-              else if fetch_failed then
-                ("fetch_failed", "package fetch failed: distribution network unavailable")
-              else
-                ( "fallback",
-                  Printf.sprintf "exhausted %d boot attempts (bad package)" attempts )
-            in
-            Js_telemetry.incr t "fleet.boot_attempts";
-            Js_telemetry.incr t "fleet.fallbacks";
-            Js_telemetry.record t
-              (Js_telemetry.Boot_attempt { source; attempt = attempts + 1; outcome });
-            Js_telemetry.record t (Js_telemetry.Fallback { source; reason }))
-      end
     | Server.Consumer _ ->
       if attempts = 0 then begin
         incr jump_started;
@@ -216,7 +229,7 @@ let simulate_push ?telemetry config ?force_bad_per_bucket app ~seed ~bad_package
           Js_telemetry.record t
             (Js_telemetry.Boot_attempt
                { source; attempt = attempts + 1; outcome = "jump_started" }))
-    | Server.Seeder -> ());
+    | Server.No_jumpstart | Server.Seeder -> ());
     let server =
       Server.create
         ~discovery_seed:(seed_base + (attempts * 7919))
@@ -226,15 +239,15 @@ let simulate_push ?telemetry config ?force_bad_per_bucket app ~seed ~bad_package
         let boot = Server.boot_seconds server in
         Js_telemetry.add_span t (source ^ ".boot") ~start:at ~dur:boot;
         Js_telemetry.observe t ~lo:0. ~hi:240. ~buckets:24 "fleet.boot_seconds" boot);
-    (server, at)
+    server
   in
   (* C3: the whole fleet restarts at t = 0 *)
   let members =
     Array.init config.n_servers (fun i ->
         let bucket = i * config.n_buckets / config.n_servers in
         let seed_base = seed + (i * 104729) in
-        let server, started_at = boot_member ~ix:i ~bucket ~seed_base ~attempts:0 ~at:0. in
-        { bucket; server; started_at; attempts = 0; fell_back = false; crash_count = 0; seed_base })
+        let server = boot_member ~ix:i ~bucket ~seed_base ~attempts:0 ~at:0. in
+        { bucket; server; attempts = 0; seed_base })
   in
   let crashes : (float, int ref) Hashtbl.t = Hashtbl.create 16 in
   let fleet_rps = Js_util.Stats.Series.create () in
@@ -249,7 +262,6 @@ let simulate_push ?telemetry config ?force_bad_per_bucket app ~seed ~bad_package
         Server.step m.server ~dt;
         (match Server.crashed m.server with
         | Some Server.Bad_package ->
-          m.crash_count <- m.crash_count + 1;
           m.attempts <- m.attempts + 1;
           tel (fun t ->
               Js_telemetry.incr t "fleet.crashes";
@@ -259,13 +271,9 @@ let simulate_push ?telemetry config ?force_bad_per_bucket app ~seed ~bad_package
           (match Hashtbl.find_opt crashes round with
           | Some r -> incr r
           | None -> Hashtbl.add crashes round (ref 1));
-          let server, _ =
+          m.server <-
             boot_member ~ix ~bucket:m.bucket ~seed_base:m.seed_base ~attempts:m.attempts
               ~at:!time
-          in
-          m.server <- server;
-          m.started_at <- !time;
-          m.fell_back <- m.attempts >= config.max_boot_attempts && config.fallback_enabled
         | None -> ());
         total := !total +. Server.current_rps m.server)
       members;

@@ -93,6 +93,31 @@ val run_seeders :
   thin_profile_rate:float ->
   seeding
 
+(** Why a member booted without Jump-Start. *)
+type fallback =
+  | No_package  (** its bucket has no published package *)
+  | Fetch_failed  (** the fetch ladder gave up *)
+  | Exhausted_attempts of int  (** it crashed on this many boot attempts *)
+
+(** The [Fallback] telemetry reason for a fallback. *)
+val fallback_reason : fallback -> string
+
+(** The §VI-A boot decision for a member that already booted [attempts]
+    times: fetch from [region] while attempts remain (or fallback is off),
+    else boot without Jump-Start.  Returns the role, the fetch delay to add
+    to the boot, and why a no-Jump-Start boot counts as a fallback. *)
+val boot_role :
+  telemetry:Js_telemetry.t option ->
+  config ->
+  Dist_net.t ->
+  Js_util.Rng.t ->
+  now:float ->
+  region:int ->
+  bucket:int ->
+  attempts:int ->
+  no_packages:bool ->
+  Server.js_role * float * fallback option
+
 (** [simulate_push config app ~seed ~bad_package_rate ~thin_profile_rate
     ~duration] runs C2 (seeding) then C3 (fleet restart) and simulates
     [duration] seconds of the C3 phase.

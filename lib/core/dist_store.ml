@@ -1,27 +1,13 @@
 module R = Js_util.Rng
 module Backoff = Js_util.Backoff
+module L = Fetch_ladder
 
-type network = {
-  fetch_fail_rate : float;
-  fetch_timeout : float;
-  latency_mean : float;
-  tail_prob : float;
-  tail_alpha : float;
-  stale_rate : float;
+type network = L.network = {
+  fetch_fail_rate : float; fetch_timeout : float; latency_mean : float;
+  tail_prob : float; tail_alpha : float; stale_rate : float;
 }
 
-let default_network =
-  {
-    fetch_fail_rate = 0.;
-    fetch_timeout = 0.;
-    latency_mean = 0.;
-    tail_prob = 0.;
-    tail_alpha = 1.5;
-    stale_rate = 0.;
-  }
-
-let network_active n =
-  n.fetch_fail_rate > 0. || n.fetch_timeout > 0. || n.latency_mean > 0. || n.stale_rate > 0.
+let default_network = L.default_network
 
 type t = {
   store : Store.t;
@@ -46,8 +32,9 @@ let create ?(network = default_network) ?(backoff = Backoff.default) ?(ttl_secon
     expected_fingerprint = Option.map Hhbc.Repo.fingerprint repo;
   }
 
-let store t = t.store
-let active t = network_active t.net
+let active t =
+  t.net.fetch_fail_rate > 0. || t.net.fetch_timeout > 0. || t.net.latency_mean > 0.
+  || t.net.stale_rate > 0.
 
 type reject_kind = Stale_replica | Fingerprint_mismatch | Ttl_expired
 
@@ -94,102 +81,44 @@ let gate t ~now ~forced_stale (meta : Package.meta) =
       else Ok ()
 
 let fetch ?telemetry t rng ~now ~region:home ~bucket =
-  let tel f =
-    match telemetry with
-    | Some s -> f s
-    | None -> ()
+  let tel f = Option.iter f telemetry in
+  (* A delivered package is final either way: the staleness gate's verdict
+     is terminal and feeds the consumer's boot-attempt machinery. *)
+  let probe ~region ~elapsed:_ =
+    match Store.pick_random ?telemetry t.store rng ~region ~bucket with
+    | None -> L.Nothing
+    | Some (bytes, meta) -> (
+      let forced_stale = t.net.stale_rate > 0. && R.bool rng t.net.stale_rate in
+      match gate t ~now ~forced_stale meta with
+      | Ok () -> L.Found (bytes, meta, region)
+      | Error (kind, reason) ->
+        tel (fun s -> Js_telemetry.incr s (reject_counter kind));
+        L.Refused (kind, reason, bytes, meta))
   in
-  let delay = ref 0. in
-  let failures = ref 0 and timeouts = ref 0 and saw_package = ref false in
-  (* One network attempt against one region's replica set.  Randomness is
-     consumed strictly in this order, each draw guarded by its rate so an
-     all-zero network performs exactly the one selection draw Store does. *)
-  let try_once ~region ~cross =
-    tel (fun s ->
-        Js_telemetry.incr s "dist.fetch_attempts";
-        if cross then Js_telemetry.incr s "dist.cross_region");
-    if t.net.fetch_fail_rate > 0. && R.bool rng t.net.fetch_fail_rate then begin
-      incr failures;
-      tel (fun s -> Js_telemetry.incr s "dist.fetch_failures");
-      `Retry
-    end
-    else begin
-      let lat =
-        if t.net.latency_mean <= 0. then 0.
-        else if t.net.tail_prob > 0. && R.bool rng t.net.tail_prob then
-          R.pareto rng ~alpha:t.net.tail_alpha ~x_min:t.net.latency_mean
-        else R.exponential rng ~mean:t.net.latency_mean
-      in
-      if t.net.fetch_timeout > 0. && lat > t.net.fetch_timeout then begin
-        incr timeouts;
-        delay := !delay +. t.net.fetch_timeout;
-        tel (fun s -> Js_telemetry.incr s "dist.timeouts");
-        `Retry
-      end
-      else
-        match Store.pick_random ?telemetry t.store rng ~region ~bucket with
-        | None -> `Empty
-        | Some (bytes, meta) -> (
-          saw_package := true;
-          delay := !delay +. lat;
-          let forced_stale = t.net.stale_rate > 0. && R.bool rng t.net.stale_rate in
-          match gate t ~now ~forced_stale meta with
-          | Ok () ->
-            tel (fun s ->
-                Js_telemetry.observe s ~lo:0. ~hi:120. ~buckets:24 "dist.fetch_seconds" lat);
-            `Delivered (bytes, meta, region)
-          | Error (kind, reason) ->
-            tel (fun s ->
-                (* aggregate kept for dashboards/invariants; the split is
-                   what the salvage path keys on *)
-                Js_telemetry.incr s "dist.stale_rejects";
-                Js_telemetry.incr s (reject_counter kind));
-            `Stale (kind, reason, bytes, meta))
-    end
+  let foreign =
+    if t.cross_region then List.filter (fun r -> r <> home) (Array.to_list t.regions) else []
   in
-  (* The fetch ladder: bounded retries with backoff against the home region,
-     then one attempt per foreign region, then give up. *)
-  let rec home_attempts k =
-    if k >= t.backoff.Backoff.max_attempts then `Exhausted
-    else
-      match try_once ~region:home ~cross:false with
-      | (`Delivered _ | `Stale _) as final -> final
-      | `Empty -> `Exhausted (* the replica set is static; retrying cannot help *)
-      | `Retry ->
-        if k + 1 < t.backoff.Backoff.max_attempts then
-          delay := !delay +. Backoff.delay t.backoff rng ~attempt:k;
-        home_attempts (k + 1)
+  let o =
+    (* the store's replica sets are static: an empty bucket stays empty *)
+    L.run ~telemetry t.net t.backoff rng ~home ~foreign ~retry_empty:false
+      ~reachable:(fun ~region:_ ~elapsed:_ -> true)
+      ~probe
   in
-  let rec foreign_regions = function
-    | [] -> `Exhausted
-    | r :: rest -> (
-      match try_once ~region:r ~cross:true with
-      | (`Delivered _ | `Stale _) as final -> final
-      | `Empty | `Retry -> foreign_regions rest)
-  in
-  let verdict =
-    match home_attempts 0 with
-    | `Exhausted when t.cross_region ->
-      foreign_regions (List.filter (fun r -> r <> home) (Array.to_list t.regions))
-    | v -> v
-  in
+  let delay = o.L.delay in
   tel (fun s ->
-      if !delay > 0. then begin
+      if delay > 0. then begin
         let clock = Js_telemetry.clock s in
-        Js_telemetry.add_span s "dist.fetch_wait" ~start:(Js_telemetry.Clock.now clock)
-          ~dur:!delay;
-        Js_telemetry.Clock.advance clock !delay
+        Js_telemetry.add_span s "dist.fetch_wait" ~start:(Js_telemetry.Clock.now clock) ~dur:delay;
+        Js_telemetry.Clock.advance clock delay
       end);
-  match verdict with
-  | `Delivered (bytes, meta, region) -> Delivered { bytes; meta; region; delay = !delay }
-  | `Stale (kind, reason, bytes, meta) -> Rejected { kind; reason; bytes; meta; delay = !delay }
-  | `Exhausted ->
-    if (not !saw_package) && !failures = 0 && !timeouts = 0 then No_package
-    else
-      Unavailable
-        {
-          reason =
-            Printf.sprintf "network unavailable after %d failures and %d timeouts" !failures
-              !timeouts;
-          delay = !delay;
-        }
+  match o.L.verdict with
+  | L.Delivered (bytes, meta, region) -> Delivered { bytes; meta; region; delay }
+  | L.Rejected (kind, reason, bytes, meta) -> Rejected { kind; reason; bytes; meta; delay }
+  | L.No_package -> No_package
+  | L.Unavailable ->
+    let c = o.L.counters in
+    let reason =
+      Printf.sprintf "network unavailable after %d failures and %d timeouts" c.L.failures
+        c.L.timeouts
+    in
+    Unavailable { reason; delay }

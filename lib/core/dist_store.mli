@@ -1,54 +1,29 @@
 (** Simulated distribution network in front of {!Store} (micro level).
 
-    The paper's packages travel through a real distributed-storage service:
-    fetches have latency, fail transiently, time out, and can return {e
-    stale} profiles from a previous release.  This module wraps a {!Store}
-    with that delivery model so the consumer boot path exercises it for
-    real:
-
-    - {b network model}: per-fetch transient failure probability, a
-      latency distribution (exponential body with an optional Pareto tail,
-      reusing {!Js_util.Rng}), and a per-attempt timeout;
-    - {b fetch policy}: bounded retries with exponential backoff and
-      deterministic jitter ({!Js_util.Backoff}) against the home region,
-      then one cross-region fallback fetch per foreign region, then give up
-      (the caller degrades to a no-Jump-Start boot);
-    - {b staleness gate}: a delivered package is rejected — without
-      retrying, the reject feeds the consumer's [Validation_failed] retry
-      machinery as stage [consumer.fetch] — when its
-      {!Package.meta.repo_fingerprint} disagrees with the consumer's repo,
-      when its age exceeds the TTL, or when the replica is forced stale by
-      the [stale_rate] fault injection.
-
-    Determinism: every stochastic draw is guarded by its rate, so an
+    Wraps a {!Store} with the {!Fetch_ladder} delivery model so the consumer
+    boot path exercises latency, transient failures, timeouts and stale
+    profiles.  This layer's probe is a {!Store.pick_random} followed by a
+    terminal {b staleness gate}: a delivered package is rejected, without
+    retrying, when its {!Package.meta.repo_fingerprint} disagrees with the
+    consumer's repo, when its age exceeds the TTL, or when the replica is
+    forced stale by [stale_rate].  The reject feeds the consumer's
+    [Validation_failed] retry machinery as stage [consumer.fetch].  An
     all-zero network consumes exactly the one selection draw {!Store}
-    itself performs and the run stays byte-identical to a direct store
-    fetch.
+    itself performs.
 
-    With [telemetry], attempts bump [dist.fetch_attempts] (plus
-    [dist.cross_region] for foreign-region attempts), failures
-    [dist.fetch_failures], timeouts [dist.timeouts], gate rejects
-    [dist.stale_rejects] plus the per-kind counter
-    ([dist.fingerprint_mismatch] / [dist.ttl_expired] /
-    [dist.stale_replica]); a delivery observes its latency in the
-    [dist.fetch_seconds] histogram, and the accumulated wait (latencies,
-    timeouts, backoff) advances the clock under a [dist.fetch_wait] span. *)
+    With [telemetry], the ladder's [dist.*] counters are joined by the
+    per-kind reject counter ([dist.fingerprint_mismatch] /
+    [dist.ttl_expired] / [dist.stale_replica]), and the accumulated wait
+    advances the clock under a [dist.fetch_wait] span. *)
 
-type network = {
-  fetch_fail_rate : float;  (** probability one attempt fails outright *)
-  fetch_timeout : float;  (** per-attempt timeout in seconds; 0 = none *)
-  latency_mean : float;  (** mean fetch latency; 0 = instantaneous *)
-  tail_prob : float;  (** probability a latency sample comes from the tail *)
-  tail_alpha : float;  (** Pareto shape of the latency tail *)
-  stale_rate : float;  (** probability a replica serves a stale package *)
+(** {!Fetch_ladder.network}, its labels re-exported. *)
+type network = Fetch_ladder.network = {
+  fetch_fail_rate : float; fetch_timeout : float; latency_mean : float;
+  tail_prob : float; tail_alpha : float; stale_rate : float;
 }
 
 (** All rates/latencies zero: a perfect, instantaneous network. *)
 val default_network : network
-
-(** Does this network model any fault or latency at all?  When [false], a
-    fetch draws exactly as much randomness as {!Store.pick_random}. *)
-val network_active : network -> bool
 
 type t
 
@@ -68,7 +43,8 @@ val create :
   Store.t ->
   t
 
-val store : t -> Store.t
+(** Does this network model any fault or latency at all?  When [false], a
+    fetch draws exactly as much randomness as {!Store.pick_random}. *)
 val active : t -> bool
 
 (** Why the staleness gate refused a delivered package.  Only

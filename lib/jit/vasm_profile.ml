@@ -18,6 +18,13 @@ let block_array t (vf : VF.t) =
     Hashtbl.replace t.blocks vf.VF.root_fid a;
     a
 
+(* The read path: reading a profile (a consumer booting a package) must
+   leave it unchanged, so a missing or misshapen vector reads as zeros. *)
+let block_counts t (vf : VF.t) =
+  match Hashtbl.find_opt t.blocks vf.VF.root_fid with
+  | Some a when Array.length a = VF.n_blocks vf -> a
+  | Some _ | None -> Array.make (VF.n_blocks vf) 0.
+
 let arc_table t (vf : VF.t) =
   match Hashtbl.find_opt t.arcs vf.VF.root_fid with
   | Some tbl -> tbl
@@ -53,7 +60,7 @@ let handler t =
     on_prop = (fun ~addr:_ ~write:_ -> ());
   }
 
-let block_weights t vf = Array.copy (block_array t vf)
+let block_weights t vf = Array.copy (block_counts t vf)
 
 let arc_weight t (vf : VF.t) key =
   match Hashtbl.find_opt t.arcs vf.VF.root_fid with
@@ -61,7 +68,7 @@ let arc_weight t (vf : VF.t) key =
   | Some tbl -> ( match Hashtbl.find_opt tbl key with Some r -> !r | None -> 0.)
 
 let to_cfg t (vf : VF.t) =
-  let counts = block_array t vf in
+  let counts = block_counts t vf in
   let blocks =
     Array.map (fun (b : VF.block) -> { Layout.Cfg.id = b.VF.id; size = b.VF.size; weight = counts.(b.VF.id) }) vf.VF.blocks
   in

@@ -368,25 +368,6 @@ let offer g reg srv ~arrived =
     tel reg (fun t -> Js_telemetry.incr t "sim.shed_queue_full")
   end
 
-(* Boot-role selection mirrors Cluster.Fleet.boot_member's §VI-A ladder:
-   fetch through the distribution network while attempts remain, fall back
-   to a no-Jump-Start boot after [max_boot_attempts] (or on fetch
-   failure).  Fetches go to this region's replica store. *)
-let choose_role g reg srv ~now =
-  let fc = g.cfg.fleet in
-  if not g.cfg.jumpstart then (Server.No_jumpstart, 0., false)
-  else if (not fc.Fleet.fallback_enabled) || srv.attempts < fc.Fleet.max_boot_attempts
-  then begin
-    match
-      Dist_net.fetch ?telemetry:reg.r_tel g.net reg.rng_net ~now ~region:reg.rix
-        ~bucket:srv.bucket
-    with
-    | Dist_net.Delivered (pkg, d) -> (Server.Consumer pkg, d, false)
-    | Dist_net.Unavailable d -> (Server.No_jumpstart, d, true)
-    | Dist_net.Not_found -> (Server.No_jumpstart, 0., false)
-  end
-  else (Server.No_jumpstart, 0., false)
-
 let restart g reg srv ~push =
   let now = Engine.now reg.eng in
   srv.gen <- srv.gen + 1;
@@ -400,36 +381,34 @@ let restart g reg srv ~push =
   end;
   Queue.clear srv.waiting;
   srv.outstanding <- 0;
-  let role, fetch_delay, fetch_failed = choose_role g reg srv ~now in
+  let role, fetch_delay, fallback =
+    if not g.cfg.jumpstart then (Server.No_jumpstart, 0., None)
+    else
+      (* fetches go to this region's replica store *)
+      Fleet.boot_role ~telemetry:reg.r_tel g.cfg.fleet g.net reg.rng_net ~now ~region:reg.rix
+        ~bucket:srv.bucket ~attempts:srv.attempts
+        ~no_packages:
+          (Option.fold g.seeding ~none:true ~some:(fun s -> s.Fleet.per_bucket.(srv.bucket) = []))
+  in
   let source = srv_source g reg srv in
+  (match fallback with
+  | Some f ->
+    reg.r_fallbacks <- reg.r_fallbacks + 1;
+    reg.r_bucket_fallbacks.(srv.bucket) <- reg.r_bucket_fallbacks.(srv.bucket) + 1;
+    tel reg (fun t ->
+        Js_telemetry.incr t "sim.fallbacks";
+        Js_telemetry.record t
+          (Js_telemetry.Fallback { source; reason = Fleet.fallback_reason f }))
+  | None -> ());
   (match role with
-  | Server.No_jumpstart when g.cfg.jumpstart ->
-    let no_packages =
-      match g.seeding with
-      | Some s -> s.Fleet.per_bucket.(srv.bucket) = []
-      | None -> true
-    in
-    if srv.attempts > 0 || no_packages || fetch_failed then begin
-      reg.r_fallbacks <- reg.r_fallbacks + 1;
-      reg.r_bucket_fallbacks.(srv.bucket) <- reg.r_bucket_fallbacks.(srv.bucket) + 1;
-      tel reg (fun t ->
-          let reason =
-            if no_packages then "no profile package available"
-            else if fetch_failed then
-              "package fetch failed: distribution network unavailable"
-            else Printf.sprintf "exhausted %d boot attempts (bad package)" srv.attempts
-          in
-          Js_telemetry.incr t "sim.fallbacks";
-          Js_telemetry.record t (Js_telemetry.Fallback { source; reason }))
-    end
-  | Server.No_jumpstart | Server.Seeder -> ()
   | Server.Consumer _ ->
     if srv.attempts = 0 then begin
       reg.r_jump_started <- reg.r_jump_started + 1;
       reg.r_bucket_jump_started.(srv.bucket) <-
         reg.r_bucket_jump_started.(srv.bucket) + 1;
       tel reg (fun t -> Js_telemetry.incr t "sim.jump_started")
-    end);
+    end
+  | Server.No_jumpstart | Server.Seeder -> ());
   srv.curve <- Warmup_curve.get g.curves role;
   srv.scale <- Float.max 1e-9 (Warmup_curve.peak_rps srv.curve) /. g.cfg.warm_rps;
   srv.served <- 0;
@@ -1096,14 +1075,7 @@ let digest s =
   f (Stats.Series.integral s.served_series ~until:infinity);
   i s.events_dispatched;
   (match s.dist with
-  | Some c ->
-    i c.Dist_net.attempts;
-    i c.Dist_net.failures;
-    i c.Dist_net.timeouts;
-    i c.Dist_net.stale_rejects;
-    i c.Dist_net.cross_region_fetches;
-    i c.Dist_net.deliveries;
-    i c.Dist_net.empty_probes
+  | Some c -> List.iter i (Jumpstart.Fetch_ladder.counter_values c)
   | None -> Buffer.add_string b "nodist;");
   Buffer.contents b
 
@@ -1128,13 +1100,7 @@ let global_digest gs =
   f (q_or gs.g_latency_push 0.99 (-1.));
   i gs.g_events;
   i gs.g_spilled;
-  i gs.g_net.Dist_net.attempts;
-  i gs.g_net.Dist_net.failures;
-  i gs.g_net.Dist_net.timeouts;
-  i gs.g_net.Dist_net.stale_rejects;
-  i gs.g_net.Dist_net.cross_region_fetches;
-  i gs.g_net.Dist_net.deliveries;
-  i gs.g_net.Dist_net.empty_probes;
+  List.iter i (Jumpstart.Fetch_ladder.counter_values gs.g_net);
   Buffer.contents b
 
 let pp_stats fmt s =

@@ -18,10 +18,3 @@ let delay cfg rng ~attempt =
   (* The jitter guard mirrors Rng.bool's clamp idiom: a jitter-free schedule
      consumes no randomness, so it can be pinned exactly in tests. *)
   if cfg.jitter <= 0. then d else d *. (1. +. (cfg.jitter *. Rng.float rng 1.0))
-
-let total_raw_delay cfg ~attempts =
-  let acc = ref 0. in
-  for k = 0 to attempts - 1 do
-    acc := !acc +. raw_delay cfg ~attempt:k
-  done;
-  !acc

@@ -1,8 +1,7 @@
 (** Bounded-retry schedule with exponential backoff and deterministic jitter.
 
-    Shared by the distribution-network layers ({!Jumpstart.Dist_store} at the
-    micro level, [Cluster.Dist_net] at the fleet level): a fetch that fails
-    transiently is retried up to [max_attempts] times, sleeping
+    Drives the package-fetch ladder ([Jumpstart.Fetch_ladder]) that both
+    distribution-network layers share: a fetch that fails transiently is retried up to [max_attempts] times, sleeping
     [base_delay * multiplier^k] (capped at [max_delay]) between attempts.
     Jitter is {e deterministic}: it is drawn from the caller's seeded {!Rng},
     so the same seed yields the same schedule, and a [jitter = 0] schedule
@@ -28,7 +27,3 @@ val raw_delay : config -> attempt:int -> float
 (** [delay cfg rng ~attempt] — [raw_delay] times [1 + jitter * u] with
     [u ~ U(0,1)] from [rng] ([rng] is untouched when [jitter <= 0]). *)
 val delay : config -> Rng.t -> attempt:int -> float
-
-(** Sum of [raw_delay] over attempts [0 .. attempts-1] (the jitter-free time
-    a caller spends backing off before giving up after [attempts] tries). *)
-val total_raw_delay : config -> attempts:int -> float

@@ -287,6 +287,71 @@ let test_net_not_found () =
   | _ -> Alcotest.fail "expected Not_found");
   Alcotest.(check int) "empty probe counted" 1 (DN.counters net).DN.empty_probes
 
+(* --- one ladder, two layers --- *)
+
+(* Network and backoff settings; each knob is zero, which skips its draw, a
+   quarter of the time.  Staleness is left out on purpose: a stale package
+   ends the micro ladder but sends the macro ladder back for another copy. *)
+let gen_ladder_case =
+  let open QCheck.Gen in
+  let knob lo hi = frequency [ (1, return 0.); (3, float_range lo hi) ] in
+  let* fetch_fail_rate = knob 0.05 0.95 in
+  let* fetch_timeout = knob 0.2 3. in
+  let* latency_mean = knob 0.05 2. in
+  let* tail_prob = knob 0.05 0.5 in
+  let* tail_alpha = float_range 1.1 3. in
+  let* max_attempts = int_range 1 8 in
+  let* base_delay = float_range 0.1 2. in
+  let* multiplier = float_range 1. 3. in
+  let* jitter = knob 0.05 0.5 in
+  let+ seed = small_nat in
+  ( { DS.default_network with DS.fetch_fail_rate; fetch_timeout; latency_mean; tail_prob; tail_alpha },
+    { Js_util.Backoff.max_attempts; base_delay; multiplier; max_delay = 30.; jitter },
+    seed )
+
+let print_ladder_case ((n : DS.network), (b : Js_util.Backoff.config), seed) =
+  Printf.sprintf
+    "fail=%g timeout=%g latency=%g tail=%g alpha=%g attempts=%d base=%g mult=%g jitter=%g seed=%d"
+    n.DS.fetch_fail_rate n.DS.fetch_timeout n.DS.latency_mean n.DS.tail_prob n.DS.tail_alpha
+    b.Js_util.Backoff.max_attempts b.Js_util.Backoff.base_delay b.Js_util.Backoff.multiplier
+    b.Js_util.Backoff.jitter seed
+
+let one_replica_store = lazy (seeded_store ())
+let one_replica_pkg = lazy (mk_server_pkg ())
+
+let prop_layers_agree =
+  QCheck.Test.make ~name:"micro and macro fetches agree on a one-replica bucket" ~count:300
+    (QCheck.make ~print:print_ladder_case gen_ladder_case)
+    (fun (network, backoff, seed) ->
+      let ds = DS.create ~network ~backoff (Lazy.force one_replica_store) in
+      let dn =
+        DN.create
+          { DN.default_config with
+            DN.fetch_fail_rate = network.DS.fetch_fail_rate;
+            fetch_timeout = network.DS.fetch_timeout;
+            fetch_latency_mean = network.DS.latency_mean;
+            tail_prob = network.DS.tail_prob;
+            tail_alpha = network.DS.tail_alpha;
+            backoff
+          }
+      in
+      DN.publish dn (R.create 0) ~now:0. ~bucket:3 (Lazy.force one_replica_pkg);
+      let micro_rng = R.create seed and macro_rng = R.create seed in
+      let micro =
+        match DS.fetch ds micro_rng ~now:0. ~region:0 ~bucket:3 with
+        | DS.Delivered { delay; _ } -> `Delivered delay
+        | DS.Unavailable { delay; _ } -> `Unavailable delay
+        | DS.Rejected _ -> `Rejected
+        | DS.No_package -> `Nothing
+      in
+      let macro =
+        match DN.fetch dn macro_rng ~now:0. ~region:0 ~bucket:3 with
+        | DN.Delivered (_, delay) -> `Delivered delay
+        | DN.Unavailable delay -> `Unavailable delay
+        | DN.Not_found -> `Nothing
+      in
+      micro = macro && R.bits64 micro_rng = R.bits64 macro_rng)
+
 let () =
   Alcotest.run "dist"
     [ ( "dist_store",
@@ -309,5 +374,6 @@ let () =
           Alcotest.test_case "counters invariant" `Quick test_net_counters_invariant;
           Alcotest.test_case "publish latency + backoff" `Quick test_net_publish_latency_backoff;
           Alcotest.test_case "not found" `Quick test_net_not_found
-        ] )
+        ] );
+      ("ladder", [ QCheck_alcotest.to_alcotest prop_layers_agree ])
     ]

@@ -224,6 +224,15 @@ let test_consumer_boot_and_serve () =
     (traffic ~seed:9 ~n:50 ()) engine;
     Alcotest.(check bool) "served" true (Interp.Engine.steps engine > 1000)
 
+let test_consumer_boot_leaves_package_unchanged () =
+  (* a consumer reads the package's profile; later boots from the same
+     package must see exactly what the seeder published *)
+  let a = Lazy.force app in
+  let pkg = (make_package ()).JS.Seeder.package in
+  let before = JS.Package.to_bytes pkg in
+  ignore (JS.Consumer.boot_with_package a.Workload.Codegen.repo JS.Options.default pkg);
+  Alcotest.(check bool) "package bytes unchanged" true (before = JS.Package.to_bytes pkg)
+
 let test_consumer_results_match_no_jumpstart () =
   (* semantics must be identical with and without Jump-Start *)
   let a = Lazy.force app in
@@ -445,6 +454,8 @@ let () =
       ( "consumer",
         [ Alcotest.test_case "boot and serve" `Quick test_consumer_boot_and_serve;
           Alcotest.test_case "semantics preserved" `Quick test_consumer_results_match_no_jumpstart;
+          Alcotest.test_case "boot leaves package unchanged" `Quick
+            test_consumer_boot_leaves_package_unchanged;
           Alcotest.test_case "jump-start from store" `Quick test_boot_jump_starts;
           Alcotest.test_case "fallback: empty store" `Quick test_boot_fallback_no_packages;
           Alcotest.test_case "fallback: disabled" `Quick test_boot_fallback_when_disabled;
