@@ -85,10 +85,31 @@ rm -f /tmp/push_smoke.json
 # significantly worse than the recorded expectation on capacity loss or
 # time-to-full-capacity (Exp.Gate paired significance tests over replicate
 # seeds), or loses on push-window p99.
-dune exec bench/main.exe -- push --quick
-test -s BENCH_push.quick.json
-grep -q '"gates"' BENCH_push.quick.json
-grep -q '"js_capacity_loss_not_significantly_regressed": true' BENCH_push.quick.json
+# The output must also equal the committed BENCH_push.quick.json byte for
+# byte: every routing pick feeds it, so a balancer change that moves a pick
+# fails here.
+push_out=$(mktemp)
+dune exec bench/main.exe -- push --quick --out "$push_out"
+test -s "$push_out"
+grep -q '"gates"' "$push_out"
+grep -q '"js_capacity_loss_not_significantly_regressed": true' "$push_out"
+if ! cmp -s "$push_out" BENCH_push.quick.json; then
+  echo "push: output differs from the committed BENCH_push.quick.json" >&2
+  diff "$push_out" BENCH_push.quick.json >&2 || true
+  rm -f "$push_out"
+  exit 1
+fi
+rm -f "$push_out"
+
+# Pinned warmup-aware routing: the default push_sim run (warmup_weighted,
+# 50 servers, 900 simulated seconds) must reproduce the digest recorded
+# before the balancer cached its per-server weights.  A change to any pick,
+# draw or weight-summation order moves it.
+ww_digest=$(dune exec bin/push_sim.exe -- --servers 50 --digest | grep '^digest:')
+if [ "$ww_digest" != "digest: 4ddd73405a81bed248f02dc30cf650f3" ]; then
+  echo "push_sim: warmup_weighted digest moved: $ww_digest" >&2
+  exit 1
+fi
 
 # Warmup-statistics bench: changepoint segmentation + warmup-taxonomy
 # classification over a seeds x {nojs, js} matrix.  The criteria grepped

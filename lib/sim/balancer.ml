@@ -22,7 +22,7 @@ type t = { policy : policy; mutable cursor : int }
 let create policy = { policy; cursor = 0 }
 let policy t = t.policy
 
-let pick t rng ?n ~candidates ~outstanding ~capacity () =
+let pick t rng ?n ~candidates ~outstanding ~weights () =
   let n = match n with Some n -> n | None -> Array.length candidates in
   if n = 0 then None
   else
@@ -43,11 +43,7 @@ let pick t rng ?n ~candidates ~outstanding ~capacity () =
         end
       done;
       Some !best
-    | Warmup_weighted ->
-      let weights =
-        Array.init n (fun i -> Float.max 1e-9 (capacity candidates.(i)))
-      in
-      Some candidates.(R.sample_weighted rng weights)
+    | Warmup_weighted -> Some candidates.(R.sample_weighted_prefix rng weights ~n)
 
 (* Cross-region spillover target: round-robin over the currently-up foreign
    regions, deterministic given [cursor].  Returns the chosen region plus the

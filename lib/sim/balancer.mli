@@ -24,21 +24,26 @@ type t
 val create : policy -> t
 val policy : t -> policy
 
-(** [pick t rng ?n ~candidates ~outstanding ~capacity ()] chooses one of the
+(** [pick t rng ?n ~candidates ~outstanding ~weights ()] chooses one of the
     first [n] entries of [candidates] (server indices; [n] defaults to the
     whole array); [None] iff that prefix is empty.  Passing [?n] lets callers
-    keep a persistent dense "accepting" array and route in O(1)/O(n) without
-    rebuilding candidate arrays per arrival.  Only [Random] and
-    [Warmup_weighted] consume randomness; only the accessors a policy needs
-    are called.  [Random]/[Round_robin] are O(1); the scanning policies are
-    O(n) per pick and intended for modest fleets. *)
+    keep a persistent dense "accepting" array and route without rebuilding
+    candidate arrays per arrival.  [outstanding] maps a server index to its
+    in-flight count.  [weights] is aligned with [candidates]: [weights.(i)] is
+    the routing weight of [candidates.(i)], non-negative with a positive sum
+    over the prefix (callers floor cold servers at a small epsilon).  Only
+    [Warmup_weighted] reads it, and only [Random] and [Warmup_weighted]
+    consume randomness.  Per pick, [Random] and [Round_robin] are O(1),
+    [Least_outstanding] is an O(n) scan of [outstanding], and
+    [Warmup_weighted] is an O(n) sum and scan of [weights] that allocates
+    nothing; keeping the weights current is the caller's job. *)
 val pick :
   t ->
   Js_util.Rng.t ->
   ?n:int ->
   candidates:int array ->
   outstanding:(int -> int) ->
-  capacity:(int -> float) ->
+  weights:float array ->
   unit ->
   int option
 

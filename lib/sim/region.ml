@@ -168,6 +168,13 @@ type region = {
   acc : int array;
   acc_pos : int array;  (* six -> position in [acc], or -1 *)
   mutable acc_len : int;
+  (* Routing weights parallel to [acc]: [acc_w.(p)] caches the floored
+     [est_capacity] of server [acc.(p)].  A weight moves only on boot,
+     completion and removal, so it is refreshed there instead of recomputed
+     per arrival.  Only [Warmup_weighted] reads it; other policies keep
+     [acc_w = [||]] and skip the per-completion refresh. *)
+  acc_w : float array;
+  outstanding_of : int -> int;  (* six -> in-flight count, built once *)
   mutable up : bool;
   mutable spill_cursor : int;
   mutable r_arrived : int;
@@ -297,12 +304,18 @@ let in_push_window reg = reg.r_push_started >= 0. && reg.ttfc < 0.
    state or epoch/merged runs could diverge. *)
 let region_up_at g q ~at = at < g.loss_at.(q)
 
-let acc_add reg srv =
+let refresh_weight g reg srv =
+  let p = reg.acc_pos.(srv.six) in
+  if Array.length reg.acc_w > 0 && p >= 0 then
+    reg.acc_w.(p) <- Float.max 1e-9 (est_capacity g srv)
+
+let acc_add g reg srv =
   if reg.acc_pos.(srv.six) < 0 then begin
     reg.acc.(reg.acc_len) <- srv.six;
     reg.acc_pos.(srv.six) <- reg.acc_len;
     reg.acc_len <- reg.acc_len + 1
-  end
+  end;
+  refresh_weight g reg srv
 
 let acc_remove reg srv =
   let p = reg.acc_pos.(srv.six) in
@@ -310,15 +323,16 @@ let acc_remove reg srv =
     let last = reg.acc_len - 1 in
     let moved = reg.acc.(last) in
     reg.acc.(p) <- moved;
+    if Array.length reg.acc_w > 0 then reg.acc_w.(p) <- reg.acc_w.(last);
     reg.acc_pos.(moved) <- p;
     reg.acc.(last) <- -1;
     reg.acc_pos.(srv.six) <- -1;
     reg.acc_len <- last
   end
 
-let set_accepting reg srv v =
+let set_accepting g reg srv v =
   srv.accepting <- v;
-  if v then acc_add reg srv else acc_remove reg srv
+  if v then acc_add g reg srv else acc_remove reg srv
 
 let srv_source g reg srv =
   Printf.sprintf "sim.server.%d" ((reg.rix * g.cfg.fleet.Fleet.n_servers) + srv.six)
@@ -335,6 +349,7 @@ let complete g reg srv ~arrived =
   let now = Engine.now reg.eng in
   srv.outstanding <- srv.outstanding - 1;
   srv.served <- srv.served + 1;
+  refresh_weight g reg srv;
   reg.r_completed <- reg.r_completed + 1;
   let l = now -. arrived in
   Stats.Quantile.add reg.r_latency l;
@@ -371,7 +386,7 @@ let offer g reg srv ~arrived =
 let restart g reg srv ~push =
   let now = Engine.now reg.eng in
   srv.gen <- srv.gen + 1;
-  set_accepting reg srv false;
+  set_accepting g reg srv false;
   (* immediate drain: queued and in-flight requests on this server are
      lost (their completion events are invalidated by the gen bump) *)
   let dropped = Queue.length srv.waiting + srv.outstanding in
@@ -506,9 +521,7 @@ let shed_no_server _g reg =
 let route_local g reg ~arrived =
   match
     Balancer.pick reg.lb reg.rng_route ~n:reg.acc_len ~candidates:reg.acc
-      ~outstanding:(fun six -> reg.servers.(six).outstanding)
-      ~capacity:(fun six -> est_capacity g reg.servers.(six))
-      ()
+      ~outstanding:reg.outstanding_of ~weights:reg.acc_w ()
   with
   | None -> shed_no_server g reg
   | Some six -> offer g reg reg.servers.(six) ~arrived
@@ -616,7 +629,7 @@ let tick_ev g reg =
    all in-flight completion/boot/crash events (so a lost region records zero
    crashes), queued work counts as drained, and the remaining push batch is
    cancelled.  Offered load keeps arriving and spills cross-region. *)
-let loss_ev _g reg =
+let loss_ev g reg =
   if reg.up then begin
     reg.up <- false;
     tel reg (fun t ->
@@ -630,7 +643,7 @@ let loss_ev _g reg =
         dropped := !dropped + Queue.length srv.waiting + srv.outstanding;
         Queue.clear srv.waiting;
         srv.outstanding <- 0;
-        set_accepting reg srv false)
+        set_accepting g reg srv false)
       reg.servers;
     if !dropped > 0 then begin
       reg.r_shed_drain <- reg.r_shed_drain + !dropped;
@@ -661,7 +674,7 @@ let dispatch g ev =
     reg.events <- reg.events + 1;
     let srv = reg.servers.(six) in
     if gen = srv.gen then begin
-      set_accepting reg srv true;
+      set_accepting g reg srv true;
       if push then begin
         reg.restarts_in_flight <- reg.restarts_in_flight - 1;
         launch_restarts g reg
@@ -842,6 +855,11 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
           acc = Array.init n_servers Fun.id;
           acc_pos = Array.init n_servers Fun.id;
           acc_len = n_servers;
+          acc_w =
+            (match cfg.policy with
+            | Balancer.Warmup_weighted -> Array.make n_servers 0.
+            | Balancer.Random | Round_robin | Least_outstanding -> [||]);
+          outstanding_of = (fun six -> servers.(six).outstanding);
           up = true;
           spill_cursor = 0;
           r_arrived = 0;
@@ -898,6 +916,7 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
   in
   Array.iter
     (fun reg ->
+      Array.iter (refresh_weight g reg) reg.servers;
       schedule_arrival g reg ~after:0.;
       Engine.schedule reg.eng ~at:cfg.tick (Ev_tick reg.rix);
       Engine.schedule reg.eng

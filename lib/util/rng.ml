@@ -84,15 +84,22 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let sample_weighted t weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  if total <= 0. then invalid_arg "Rng.sample_weighted: non-positive total";
-  let target = unit_float t *. total in
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i >= n - 1 then n - 1
-    else
-      let acc = acc +. weights.(i) in
-      if acc >= target then i else scan (i + 1) acc
-  in
-  scan 0 0.
+let sample_weighted_prefix t weights ~n =
+  if n < 0 || n > Array.length weights then
+    invalid_arg "Rng.sample_weighted: prefix out of bounds";
+  (* [n] is checked above, so the two passes skip the bounds checks *)
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    total := !total +. Array.unsafe_get weights i
+  done;
+  (* [not (> 0.)] also rejects a NaN total, which [<= 0.] lets through *)
+  if not (!total > 0.) then invalid_arg "Rng.sample_weighted: total must be positive";
+  let target = unit_float t *. !total in
+  let i = ref 0 and acc = ref 0. and found = ref false in
+  while (not !found) && !i < n - 1 do
+    acc := !acc +. Array.unsafe_get weights !i;
+    if !acc >= target then found := true else incr i
+  done;
+  !i
+
+let sample_weighted t weights = sample_weighted_prefix t weights ~n:(Array.length weights)

@@ -74,5 +74,13 @@ val pick : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
 
 (** [sample_weighted t weights] returns an index sampled proportionally to
-    [weights.(i)] (all weights must be non-negative, with a positive sum). *)
+    [weights.(i)] (all weights must be non-negative).  One [unit_float] draw.
+    @raise Invalid_argument unless the sum is [> 0.] (a NaN sum included). *)
 val sample_weighted : t -> float array -> int
+
+(** [sample_weighted_prefix t weights ~n] is [sample_weighted t (Array.sub
+    weights 0 n)] without the copy: the same index and the same draw, summed
+    in the same order.  Allocates nothing.
+    @raise Invalid_argument if [n] is outside [\[0, Array.length weights\]]
+    or the prefix sum is not [> 0.]. *)
+val sample_weighted_prefix : t -> float array -> n:int -> int

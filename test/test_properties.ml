@@ -102,6 +102,32 @@ let prop_rng_split_reproducible =
       && List.init 8 (fun _ -> Js_util.Rng.bits64 a)
          = List.init 8 (fun _ -> Js_util.Rng.bits64 b))
 
+let prop_rng_sample_weighted_prefix =
+  (* the balancer samples a prefix of its cached weight array in place: that
+     must pick the same index and leave the stream in the same state as
+     sampling a copy of the prefix.  Weights mix the balancer's 1e-9 floor,
+     zeros and ordinary capacities; the prefix is often shorter than the
+     array and often a single entry. *)
+  let gen =
+    let open QCheck.Gen in
+    let weight = frequency [ (2, return 1e-9); (1, return 0.); (4, float_range 0. 100.) ] in
+    let* len = int_range 1 24 in
+    let* w = array_size (return len) weight in
+    let* n = frequency [ (1, return 1); (3, int_range 1 len) ] in
+    let+ seed = small_nat in
+    (seed, w, n)
+  in
+  QCheck.Test.make ~name:"rng sample_weighted over a prefix matches Array.sub" ~count:500
+    (QCheck.make ~print:QCheck.Print.(triple int (array float) int) gen)
+    (fun (seed, w, n) ->
+      let sub = Array.sub w 0 n in
+      QCheck.assume (Array.fold_left ( +. ) 0. sub > 0.);
+      let a = Js_util.Rng.create seed in
+      let b = Js_util.Rng.copy a in
+      let i = Js_util.Rng.sample_weighted_prefix a w ~n in
+      let j = Js_util.Rng.sample_weighted b sub in
+      i = j && Js_util.Rng.bits64 a = Js_util.Rng.bits64 b)
+
 (* --- pqueue sorts --- *)
 
 let prop_pqueue_sorts =
@@ -718,7 +744,8 @@ let () =
       ( "rng",
         q
           [ prop_rng_int_in_bounds; prop_rng_deterministic; prop_rng_split_draw_compatible;
-            prop_rng_split_independent_streams; prop_rng_split_reproducible
+            prop_rng_split_independent_streams; prop_rng_split_reproducible;
+            prop_rng_sample_weighted_prefix
           ] );
       ("pqueue", q [ prop_pqueue_sorts ]);
       ( "layout",

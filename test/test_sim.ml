@@ -233,8 +233,7 @@ let test_balancer_least_outstanding () =
   let picked =
     Balancer.pick b rng ~candidates:[| 3; 1; 7 |]
       ~outstanding:(outstanding_of [| 9; 5; 9; 2; 9; 9; 9; 1 |])
-      ~capacity:(fun _ -> 0.)
-      ()
+      ~weights:[||] ()
   in
   Alcotest.(check (option int)) "argmin outstanding" (Some 7) picked;
   (* the ?n prefix restricts the candidate set without rebuilding the array:
@@ -242,8 +241,7 @@ let test_balancer_least_outstanding () =
   let picked2 =
     Balancer.pick b rng ~n:2 ~candidates:[| 3; 1; 7 |]
       ~outstanding:(outstanding_of [| 9; 5; 9; 2; 9; 9; 9; 1 |])
-      ~capacity:(fun _ -> 0.)
-      ()
+      ~weights:[||] ()
   in
   Alcotest.(check (option int)) "argmin over prefix" (Some 3) picked2
 
@@ -255,8 +253,7 @@ let test_balancer_round_robin_cycles () =
         match
           Balancer.pick b rng ~candidates:[| 4; 5; 6 |]
             ~outstanding:(fun _ -> 0)
-            ~capacity:(fun _ -> 0.)
-            ()
+            ~weights:[||] ()
         with
         | Some ix -> ix
         | None -> -1)
@@ -266,11 +263,11 @@ let test_balancer_round_robin_cycles () =
 let test_balancer_weighted_prefers_capacity () =
   let b = Balancer.create Balancer.Warmup_weighted in
   let rng = Js_util.Rng.create 5 in
-  let capacity = function 0 -> 99. | _ -> 1. in
   let hits = Array.make 2 0 in
   for _ = 1 to 500 do
     match
-      Balancer.pick b rng ~candidates:[| 0; 1 |] ~outstanding:(fun _ -> 0) ~capacity ()
+      Balancer.pick b rng ~candidates:[| 0; 1 |] ~outstanding:(fun _ -> 0)
+        ~weights:[| 99.; 1. |] ()
     with
     | Some ix -> hits.(ix) <- hits.(ix) + 1
     | None -> ()
@@ -278,7 +275,13 @@ let test_balancer_weighted_prefers_capacity () =
   Alcotest.(check bool)
     (Printf.sprintf "hot server gets most traffic (%d/500)" hits.(0))
     true
-    (hits.(0) > 450)
+    (hits.(0) > 450);
+  (* only the first [n] weights are read: candidate 7 is beyond the prefix *)
+  for _ = 1 to 20 do
+    Alcotest.(check (option int)) "weighted over prefix" (Some 1)
+      (Balancer.pick b rng ~n:2 ~candidates:[| 3; 1; 7 |] ~outstanding:(fun _ -> 0)
+         ~weights:[| 0.; 1.; 1e9 |] ())
+  done
 
 let test_balancer_empty () =
   let rng = Js_util.Rng.create 1 in
@@ -289,8 +292,7 @@ let test_balancer_empty () =
         (Balancer.policy_to_string p ^ " empty")
         None
         (Balancer.pick b rng ~candidates:[||] ~outstanding:(fun _ -> 0)
-           ~capacity:(fun _ -> 0.)
-           ()))
+           ~weights:[||] ()))
     Balancer.all_policies
 
 let test_balancer_pick_region () =
@@ -425,6 +427,32 @@ let test_push_deterministic () =
   Alcotest.(check string) "same digest" (Push.digest a) (Push.digest b);
   let c = Push.run cfg app ~seed:4 in
   Alcotest.(check bool) "different seed differs" true (Push.digest a <> Push.digest c)
+
+(* Routing picks pinned per policy.  The md5s were recorded on the code
+   before the balancer cached its per-server weights; any change to a pick,
+   a draw or the order weights are summed in moves them. *)
+let test_push_pinned_policy_digests () =
+  let cfg = Lazy.force push_cfg in
+  let fleet = { cfg.Push.fleet with Cluster.Fleet.n_servers = 16 } in
+  let cfg =
+    { cfg with
+      Push.fleet;
+      arrival = { cfg.Push.arrival with Arrival.base_rps = 16. *. 30. *. 0.7 };
+      push_at = 60.;
+      duration = 300.
+    }
+  in
+  let app = Lazy.force small_app in
+  List.iter
+    (fun (policy, want) ->
+      let s = Push.run { cfg with Push.policy } app ~seed:11 in
+      Alcotest.(check string) (Balancer.policy_to_string policy) want
+        (Digest.to_hex (Digest.string (Push.digest s))))
+    [ (Balancer.Random, "3f2e6bbaa7150f8c83a0d700eafe61be");
+      (Balancer.Round_robin, "fe1d759e6b80cdba56a21b55b335c9f4");
+      (Balancer.Least_outstanding, "0cdfd717960f60d691df91f1a500829f");
+      (Balancer.Warmup_weighted, "9bf0a7ea4d2e0216a2e22b891cd9851b")
+    ]
 
 let test_push_record_latency_digest_neutral () =
   let cfg = Lazy.force push_cfg in
@@ -619,6 +647,8 @@ let () =
           Alcotest.test_case "jump-start beats baseline" `Quick
             test_push_jumpstart_beats_baseline;
           Alcotest.test_case "deterministic" `Quick test_push_deterministic;
+          Alcotest.test_case "pinned per-policy digests" `Quick
+            test_push_pinned_policy_digests;
           Alcotest.test_case "latency recording digest-neutral" `Quick
             test_push_record_latency_digest_neutral;
           Alcotest.test_case "bad packages + guardrail" `Quick

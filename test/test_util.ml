@@ -90,6 +90,19 @@ let test_rng_sample_weighted () =
   Alcotest.(check int) "zero weight never sampled" 0 counts.(1);
   Alcotest.(check bool) "heavy weight dominates" true (counts.(2) > 6 * counts.(0))
 
+(* A NaN total used to slip past a [<= 0.] guard and return the last index. *)
+let test_rng_sample_weighted_rejects_nan () =
+  let rng = Rng.create 9 in
+  let rejected = Invalid_argument "Rng.sample_weighted: total must be positive" in
+  Alcotest.check_raises "NaN total" rejected (fun () ->
+      ignore (Rng.sample_weighted rng [| 1.; nan; 1. |]));
+  Alcotest.check_raises "NaN total over a prefix" rejected (fun () ->
+      ignore (Rng.sample_weighted_prefix rng [| 1.; nan; 1. |] ~n:2));
+  Alcotest.check_raises "zero total" rejected (fun () ->
+      ignore (Rng.sample_weighted rng [| 0.; 0. |]));
+  Alcotest.(check int) "NaN beyond the prefix is never read" 0
+    (Rng.sample_weighted_prefix rng [| 1.; nan; 1. |] ~n:1)
+
 (* --- stats --- *)
 
 let test_stats_mean_stddev () =
@@ -670,7 +683,9 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "zipf skew" `Quick test_rng_zipf_rank0_most_likely;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
-          Alcotest.test_case "weighted sampling" `Quick test_rng_sample_weighted
+          Alcotest.test_case "weighted sampling" `Quick test_rng_sample_weighted;
+          Alcotest.test_case "weighted sampling rejects NaN" `Quick
+            test_rng_sample_weighted_rejects_nan
         ] );
       ( "stats",
         [ Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
