@@ -316,6 +316,46 @@ let seeds_override = ref None
 let bench_seed default = match !seed_override with Some s -> s | None -> default
 let bench_seeds default = match !seeds_override with Some n -> n | None -> default
 
+(* The fleet ablations run on the discrete-event push, restarting the whole
+   fleet at once without the push guardrail: every server drains at
+   [push_at = 1] (the drain cap is the fleet size) and no crash count can
+   reach the abort threshold.  Offered load is 0.7 of warm capacity. *)
+let fleet_push_cfg fleet ~duration =
+  let n = fleet.Cluster.Fleet.n_servers in
+  let base = Js_sim.Push.default_config in
+  { base with
+    Js_sim.Push.fleet;
+    arrival =
+      { Js_sim.Arrival.default_config with
+        Js_sim.Arrival.base_rps = float_of_int n *. base.Js_sim.Push.warm_rps *. 0.7
+      };
+    push_at = 1.;
+    drain_cap = n;
+    abort_threshold = max_int;
+    duration
+  }
+
+(* A telemetry sink large enough to keep every crash event of a run. *)
+let crash_sink () = Js_telemetry.create ~capacity:(1 lsl 16) ()
+
+(* Blast radius: the most servers that crashed in one 30 s round, from the
+   timestamps of the sink's crash events.  Exits if the ring dropped any. *)
+let blast_radius tel =
+  if Js_telemetry.dropped_events tel > 0 then begin
+    Printf.eprintf "bench: telemetry dropped %d events; blast radius unknown\n"
+      (Js_telemetry.dropped_events tel);
+    exit 1
+  end;
+  let rounds = Hashtbl.create 16 in
+  List.iter
+    (function
+      | at, Js_telemetry.Server_crashed _ ->
+        let r = Float.round (at /. 30.) in
+        Hashtbl.replace rounds r (1 + Option.value ~default:0 (Hashtbl.find_opt rounds r))
+      | _ -> ())
+    (Js_telemetry.events tel);
+  Hashtbl.fold (fun _ n acc -> max acc n) rounds 0
+
 let ablation_seeders () =
   section "Ablation: randomized multiple seeders bound the crash blast radius (§VI-A.2)";
   Printf.printf
@@ -326,27 +366,21 @@ let ablation_seeders () =
     "blast radius";
   List.iter
     (fun n ->
-      let cfg =
+      let fleet =
         { (Lazy.force fleet_base_cfg) with
           Cluster.Fleet.seeders_per_bucket = n;
           validation_catch_rate = 0.;
           max_boot_attempts = 6
         }
       in
-      let tel = Js_telemetry.create () in
+      let tel = crash_sink () in
       let stats =
-        Cluster.Fleet.simulate_push ~telemetry:tel cfg ~force_bad_per_bucket:1
-          (Lazy.force fleet_app) ~seed:(bench_seed 1000) ~bad_package_rate:0. ~thin_profile_rate:0.
-          ~duration:900.
+        Js_sim.Push.run ~telemetry:tel
+          { (fleet_push_cfg fleet ~duration:900.) with Js_sim.Push.force_bad_per_bucket = Some 1 }
+          (Lazy.force fleet_app) ~seed:(bench_seed 1000)
       in
-      let blast =
-        match Js_telemetry.gauge tel "fleet.crash_blast_radius" with
-        | Some v -> int_of_float v
-        | None -> 0
-      in
-      Printf.printf "%10d %12d %12d %12d %14d\n" n
-        (Js_telemetry.counter tel "fleet.crashes")
-        stats.Cluster.Fleet.fallbacks stats.Cluster.Fleet.jump_started blast)
+      Printf.printf "%10d %12d %12d %12d %14d\n" n stats.Js_sim.Push.crashes
+        stats.Js_sim.Push.fallbacks stats.Js_sim.Push.jump_started (blast_radius tel))
     [ 1; 2; 4; 8 ]
 
 let ablation_validation () =
@@ -355,15 +389,14 @@ let ablation_validation () =
   Printf.printf "%12s %14s %12s %12s\n" "catch rate" "bad published" "crashes" "rejected";
   List.iter
     (fun rate ->
-      let cfg = { (Lazy.force fleet_base_cfg) with Cluster.Fleet.validation_catch_rate = rate } in
-      let tel = Js_telemetry.create () in
+      let fleet = { (Lazy.force fleet_base_cfg) with Cluster.Fleet.validation_catch_rate = rate } in
       let stats =
-        Cluster.Fleet.simulate_push ~telemetry:tel cfg (Lazy.force fleet_app)
-          ~seed:(bench_seed 77) ~bad_package_rate:0.3 ~thin_profile_rate:0. ~duration:600.
+        Js_sim.Push.run
+          { (fleet_push_cfg fleet ~duration:600.) with Js_sim.Push.bad_package_rate = 0.3 }
+          (Lazy.force fleet_app) ~seed:(bench_seed 77)
       in
-      Printf.printf "%12.2f %14d %12d %12d\n" rate stats.Cluster.Fleet.bad_packages_published
-        (Js_telemetry.counter tel "fleet.crashes")
-        (Js_telemetry.counter tel "fleet.packages_rejected"))
+      Printf.printf "%12.2f %14d %12d %12d\n" rate stats.Js_sim.Push.bad_packages_published
+        stats.Js_sim.Push.crashes stats.Js_sim.Push.packages_rejected)
     [ 0.0; 0.5; 0.95; 1.0 ]
 
 let ablation_fallback () =
@@ -372,30 +405,29 @@ let ablation_fallback () =
   Printf.printf "%10s %12s %12s %16s\n" "fallback" "crashes" "fallbacks" "final fleet RPS";
   List.iter
     (fun fallback ->
-      let cfg =
+      let fleet =
         { (Lazy.force fleet_base_cfg) with
           Cluster.Fleet.validation_catch_rate = 0.;
           fallback_enabled = fallback;
           max_boot_attempts = 2
         }
       in
-      let tel = Js_telemetry.create () in
+      let tel = crash_sink () in
       let stats =
-        Cluster.Fleet.simulate_push ~telemetry:tel cfg (Lazy.force fleet_app)
-          ~seed:(bench_seed 5) ~bad_package_rate:1.0 ~thin_profile_rate:0. ~duration:1_500.
+        Js_sim.Push.run ~telemetry:tel
+          { (fleet_push_cfg fleet ~duration:1_500.) with Js_sim.Push.bad_package_rate = 1.0 }
+          (Lazy.force fleet_app) ~seed:(bench_seed 5)
       in
-      let total_crashes = List.fold_left (fun acc (_, n) -> acc + n) 0 stats.Cluster.Fleet.crashes in
-      Printf.printf "%10b %12d %12d %16.0f\n" fallback total_crashes stats.Cluster.Fleet.fallbacks
-        (Series.value_at stats.Cluster.Fleet.fleet_rps 1_499.);
-      let rate = match Js_telemetry.gauge tel "fleet.fallback_rate" with Some v -> v | None -> 0. in
-      let blast =
-        match Js_telemetry.gauge tel "fleet.crash_blast_radius" with Some v -> v | None -> 0.
-      in
+      Printf.printf "%10b %12d %12d %16.0f\n" fallback stats.Js_sim.Push.crashes
+        stats.Js_sim.Push.fallbacks
+        (Series.value_at stats.Js_sim.Push.served_series 1_499.);
+      let fallbacks = Js_telemetry.counter tel "sim.fallbacks" in
       Printf.printf
-        "           telemetry: boot_attempts=%d fallbacks=%d fallback_rate=%.2f blast_radius=%.0f\n"
-        (Js_telemetry.counter tel "fleet.boot_attempts")
-        (Js_telemetry.counter tel "fleet.fallbacks")
-        rate blast;
+        "           telemetry: boots=%d fallbacks=%d fallback_rate=%.2f blast_radius=%d\n"
+        (List.length (Js_telemetry.spans tel))
+        fallbacks
+        (float_of_int fallbacks /. float_of_int fleet.Cluster.Fleet.n_servers)
+        (blast_radius tel);
       List.iter
         (fun (reason, n) -> Printf.printf "           telemetry: fallback reason %dx %S\n" n reason)
         (Js_telemetry.fallback_reasons tel))
@@ -777,8 +809,8 @@ let perf () =
 
 (* How much fetch unreliability the consumer ladder (bounded retries with
    exponential backoff, then cross-region fallback, then degradation to a
-   no-Jump-Start boot) absorbs before the fleet loses Jump-Start coverage.
-   Writes BENCH_dist.json (BENCH_dist.quick.json under --quick). *)
+   no-Jump-Start boot) absorbs before the fleet loses Jump-Start coverage,
+   over one whole-fleet restart ([fleet_push_cfg]).  Writes BENCH_dist.json (BENCH_dist.quick.json under --quick). *)
 let ablation_dist () =
   section "Ablation: distribution-network robustness (retry/backoff/cross-region)";
   let quick = !quick_mode in
@@ -810,16 +842,13 @@ let ablation_dist () =
   let rows =
     List.map
       (fun (name, dist) ->
-        let cfg =
-          { (Lazy.force fleet_base_cfg) with Cluster.Fleet.n_servers; dist }
-        in
+        let fleet = { (Lazy.force fleet_base_cfg) with Cluster.Fleet.n_servers; dist } in
         let stats =
-          Cluster.Fleet.simulate_push cfg (Lazy.force fleet_app) ~seed:(bench_seed 424)
-            ~bad_package_rate:0.
-            ~thin_profile_rate:0. ~duration
+          Js_sim.Push.run (fleet_push_cfg fleet ~duration) (Lazy.force fleet_app)
+            ~seed:(bench_seed 424)
         in
         let c =
-          match stats.Cluster.Fleet.dist with
+          match stats.Js_sim.Push.dist with
           | Some c -> c
           | None ->
             (* inactive network: the ladder never ran *)
@@ -827,7 +856,7 @@ let ablation_dist () =
               cross_region_fetches = 0; deliveries = 0; empty_probes = 0 }
         in
         Printf.printf "%22s %12d %10d %9d %9d %9d %7d %7d\n" name
-          stats.Cluster.Fleet.jump_started stats.Cluster.Fleet.fallbacks
+          stats.Js_sim.Push.jump_started stats.Js_sim.Push.fallbacks
           c.Cluster.Dist_net.attempts c.Cluster.Dist_net.failures c.Cluster.Dist_net.timeouts
           c.Cluster.Dist_net.stale_rejects c.Cluster.Dist_net.cross_region_fetches;
         (name, stats, c))
@@ -846,8 +875,8 @@ let ablation_dist () =
         "    { \"name\": %S, \"jump_started\": %d, \"fallbacks\": %d, \
          \"jump_start_rate\": %.4f,\n      \"attempts\": %d, \"deliveries\": %d, \
          \"failures\": %d, \"timeouts\": %d, \"stale_rejects\": %d, \"cross_region\": %d }%s\n"
-        name stats.Cluster.Fleet.jump_started stats.Cluster.Fleet.fallbacks
-        (float_of_int stats.Cluster.Fleet.jump_started /. float_of_int n_servers)
+        name stats.Js_sim.Push.jump_started stats.Js_sim.Push.fallbacks
+        (float_of_int stats.Js_sim.Push.jump_started /. float_of_int n_servers)
         c.Cluster.Dist_net.attempts c.Cluster.Dist_net.deliveries c.Cluster.Dist_net.failures
         c.Cluster.Dist_net.timeouts c.Cluster.Dist_net.stale_rejects
         c.Cluster.Dist_net.cross_region_fetches

@@ -182,75 +182,69 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
       duration
     }
   in
-  let tel = match telemetry_fmt with None -> None | Some _ -> Some (Js_telemetry.create ()) in
-  if classify then begin
-    if regions > 1 then begin
-      prerr_endline "push_sim: --classify is single-region only (drop --regions)";
-      exit 2
-    end;
-    report_classified cfg (Lazy.force app) ~seed ~n_seeds
-  end
-  else if regions <= 1 then begin
-    let stats = Js_sim.Push.run ?telemetry:tel cfg (Lazy.force app) ~seed in
-    match (telemetry_fmt, tel) with
-    | Some `Json, Some t ->
-      print_string (Js_telemetry.to_json t);
-      print_newline ()
-    | _ ->
-      report ~show_digest stats;
-      (match (telemetry_fmt, tel) with
-      | Some `Text, Some t -> Format.printf "@.%a@." Js_telemetry.pp_text t
-      | _ -> ())
-  end
-  else begin
-    let disasters =
-      (match lose_region with
-      | Some r -> [ Js_sim.Region.Region_loss { region = r; at = lose_at } ]
+  let disasters =
+    (match lose_region with
+    | Some r -> [ Js_sim.Region.Region_loss { region = r; at = lose_at } ]
+    | None -> [])
+    @ (match partition_region with
+      | Some r ->
+        [ Js_sim.Region.Dist_partition
+            { region = r; at = partition_at; duration = partition_duration }
+        ]
       | None -> [])
-      @ (match partition_region with
-        | Some r ->
-          [ Js_sim.Region.Dist_partition
-              { region = r; at = partition_at; duration = partition_duration }
-          ]
-        | None -> [])
-      @
-      match seeder_outage with
-      | Some at -> [ Js_sim.Region.Seeder_outage { at } ]
-      | None -> []
+    @
+    match seeder_outage with
+    | Some at -> [ Js_sim.Region.Seeder_outage { at } ]
+    | None -> []
+  in
+  let gcfg =
+    { Js_sim.Region.base = cfg;
+      n_regions = regions;
+      region_phase;
+      push_stagger;
+      spillover;
+      spill_latency;
+      spill_threshold;
+      epoch;
+      disasters;
+      batch = not no_batch
+    }
+  in
+  match Js_sim.Region.validate gcfg with
+  | exception Invalid_argument msg -> `Error (true, msg)
+  | () when classify && regions > 1 -> `Error (true, "--classify is single-region only")
+  | () ->
+    let tel = match telemetry_fmt with None -> None | Some _ -> Some (Js_telemetry.create ()) in
+    (* with --telemetry json the JSON document is the only output *)
+    let emit report =
+      match (telemetry_fmt, tel) with
+      | Some `Json, Some t ->
+        print_string (Js_telemetry.to_json t);
+        print_newline ()
+      | Some `Text, Some t ->
+        report ();
+        Format.printf "@.%a@." Js_telemetry.pp_text t
+      | _ -> report ()
     in
-    let gcfg =
-      { Js_sim.Region.base = cfg;
-        n_regions = regions;
-        region_phase;
-        push_stagger;
-        spillover;
-        spill_latency;
-        spill_threshold;
-        epoch;
-        disasters;
-        batch = not no_batch
-      }
-    in
-    let mode =
-      match mode with
-      | `Parallel ->
-        let d =
-          match domains with Some d -> d | None -> Domain.recommended_domain_count ()
-        in
-        `Parallel d
-      | (`Epoch | `Merged) as m -> m
-    in
-    let gs = Js_sim.Region.run_global ?telemetry:tel ~mode gcfg (Lazy.force app) ~seed in
-    match (telemetry_fmt, tel) with
-    | Some `Json, Some t ->
-      print_string (Js_telemetry.to_json t);
-      print_newline ()
-    | _ ->
-      report_global ~show_digest gs;
-      (match (telemetry_fmt, tel) with
-      | Some `Text, Some t -> Format.printf "@.%a@." Js_telemetry.pp_text t
-      | _ -> ())
-  end
+    if classify then report_classified cfg (Lazy.force app) ~seed ~n_seeds
+    else if regions <= 1 then begin
+      let stats = Js_sim.Push.run ?telemetry:tel cfg (Lazy.force app) ~seed in
+      emit (fun () -> report ~show_digest stats)
+    end
+    else begin
+      let mode =
+        match mode with
+        | `Parallel ->
+          let d =
+            match domains with Some d -> d | None -> Domain.recommended_domain_count ()
+          in
+          `Parallel d
+        | (`Epoch | `Merged) as m -> m
+      in
+      let gs = Js_sim.Region.run_global ?telemetry:tel ~mode gcfg (Lazy.force app) ~seed in
+      emit (fun () -> report_global ~show_digest gs)
+    end;
+    `Ok ()
 
 let () =
   let open Arg in
@@ -419,14 +413,15 @@ let () =
   in
   let term =
     Term.(
-      const main $ servers $ buckets $ seeders $ warm_rps $ concurrency $ queue $ timeout
-      $ utilization $ diurnal_amp $ diurnal_period $ policy_arg $ no_jumpstart $ push_at
-      $ drain_cap $ duration $ bad_rate $ thin_rate $ validation $ verifier $ abort_window
-      $ abort_threshold $ fetch_fail $ fetch_timeout $ fetch_latency $ stale_rate $ cross_region
-      $ regions $ region_phase $ push_stagger $ spillover $ spill_latency $ spill_threshold
-      $ epoch $ mode $ domains $ no_batch $ lose_region $ lose_at $ partition_region
-      $ partition_at $ partition_duration $ seeder_outage $ seed $ n_seeds $ classify
-      $ show_digest $ telemetry_arg)
+      ret
+        (const main $ servers $ buckets $ seeders $ warm_rps $ concurrency $ queue $ timeout
+        $ utilization $ diurnal_amp $ diurnal_period $ policy_arg $ no_jumpstart $ push_at
+        $ drain_cap $ duration $ bad_rate $ thin_rate $ validation $ verifier $ abort_window
+        $ abort_threshold $ fetch_fail $ fetch_timeout $ fetch_latency $ stale_rate $ cross_region
+        $ regions $ region_phase $ push_stagger $ spillover $ spill_latency $ spill_threshold
+        $ epoch $ mode $ domains $ no_batch $ lose_region $ lose_at $ partition_region
+        $ partition_at $ partition_duration $ seeder_outage $ seed $ n_seeds $ classify
+        $ show_digest $ telemetry_arg))
   in
   let info =
     Cmd.info "push_sim"

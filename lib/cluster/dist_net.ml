@@ -189,8 +189,3 @@ let fetch ?telemetry t rng ~now ~region:home ~bucket =
   | L.Rejected (_ : never) -> .
   | L.Unavailable -> Unavailable o.L.delay
   | L.No_package -> Not_found
-
-let pp_counters fmt c =
-  Format.fprintf fmt
-    "dist: attempts=%d deliveries=%d failures=%d timeouts=%d stale_rejects=%d cross_region=%d"
-    c.attempts c.deliveries c.failures c.timeouts c.stale_rejects c.cross_region_fetches

@@ -94,5 +94,3 @@ val fetch :
   region:int ->
   bucket:int ->
   outcome
-
-val pp_counters : Format.formatter -> counters -> unit

@@ -16,6 +16,7 @@ type config = Region.config = {
   abort_threshold : int;
   bad_package_rate : float;
   thin_profile_rate : float;
+  force_bad_per_bucket : int option;
   duration : float;
   curve_horizon : float;
   tick : float;

@@ -47,6 +47,9 @@ type config = Region.config = {
   abort_threshold : int;  (** crashes within the window that abort *)
   bad_package_rate : float;  (** seeder fault injection (§VI-A) *)
   thin_profile_rate : float;  (** drained-seeder injection (§VI-B) *)
+  force_bad_per_bucket : int option;
+      (** [Some k]: every bucket gets exactly [k] bad packages and no seeding
+          gate runs (the §VI-A.2 blast-radius setting); default [None] *)
   duration : float;  (** total simulated seconds *)
   curve_horizon : float;  (** reference-run length for warmup curves *)
   tick : float;  (** capacity/served sampling period *)
@@ -108,8 +111,9 @@ type stats = Region.stats = {
 (** [run cfg app ~seed] — deterministic: same config, app and seed produce
     identical stats (see {!digest}).  With [telemetry]: [sim.*] counters,
     boot spans per restart, push start/abort marks; the sink's clock tracks
-    simulation time.  @raise Invalid_argument on non-positive capacities,
-    caps or a duration not past [push_at]. *)
+    simulation time.  @raise Invalid_argument on an empty fleet or bucket
+    set, non-positive capacities, caps or a duration not past [push_at]
+    (see {!Region.validate}). *)
 val run : ?telemetry:Js_telemetry.t -> config -> Workload.Macro_app.t -> seed:int -> stats
 
 (** Full-precision canonical rendering of every stats field (quantiles at

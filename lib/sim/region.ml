@@ -19,6 +19,7 @@ type config = {
   abort_threshold : int;
   bad_package_rate : float;
   thin_profile_rate : float;
+  force_bad_per_bucket : int option;
   duration : float;
   curve_horizon : float;
   tick : float;
@@ -41,6 +42,7 @@ let default_config =
     abort_threshold = 8;
     bad_package_rate = 0.;
     thin_profile_rate = 0.;
+    force_bad_per_bucket = None;
     duration = 900.;
     curve_horizon = 1800.;
     tick = 1.;
@@ -237,17 +239,20 @@ type g = {
 
 let tel reg f = match reg.r_tel with Some t -> f t | None -> ()
 
-let validate cfg =
+let validate_base cfg =
+  if cfg.fleet.Fleet.n_servers < 1 then invalid_arg "Push: fleet.n_servers must be >= 1";
+  if cfg.fleet.Fleet.n_buckets < 1 then invalid_arg "Push: fleet.n_buckets must be >= 1";
   if cfg.warm_rps <= 0. then invalid_arg "Push: warm_rps must be positive";
   if cfg.concurrency <= 0 then invalid_arg "Push: concurrency must be positive";
   if cfg.queue_capacity < 0 then invalid_arg "Push: queue_capacity must be >= 0";
   if cfg.request_timeout <= 0. then invalid_arg "Push: request_timeout must be positive";
   if cfg.drain_cap <= 0 then invalid_arg "Push: drain_cap must be positive";
   if cfg.tick <= 0. then invalid_arg "Push: tick must be positive";
-  if cfg.duration <= cfg.push_at then invalid_arg "Push: duration must exceed push_at"
+  if cfg.duration <= cfg.push_at then invalid_arg "Push: duration must exceed push_at";
+  Arrival.validate cfg.arrival
 
-let validate_global gc =
-  validate gc.base;
+let validate gc =
+  validate_base gc.base;
   if gc.n_regions < 1 then invalid_arg "Region: n_regions must be >= 1";
   if gc.epoch <= 0. || Float.is_nan gc.epoch then
     invalid_arg "Region: epoch must be positive";
@@ -495,9 +500,12 @@ let start_push g reg =
        way seeding happens-before every logically-later fetch. *)
     if g.cfg.jumpstart && reg.rix = 0 then begin
       let seeding =
-        Fleet.run_seeders g.cfg.fleet g.app reg.rng_net
-          ~bad_package_rate:g.cfg.bad_package_rate
-          ~thin_profile_rate:g.cfg.thin_profile_rate
+        match g.cfg.force_bad_per_bucket with
+        | Some bad_per_bucket -> Fleet.forced_seeding g.cfg.fleet g.app ~bad_per_bucket
+        | None ->
+          Fleet.run_seeders g.cfg.fleet g.app reg.rng_net
+            ~bad_package_rate:g.cfg.bad_package_rate
+            ~thin_profile_rate:g.cfg.thin_profile_rate
       in
       g.seeding <- Some seeding;
       for bucket = 0 to g.cfg.fleet.Fleet.n_buckets - 1 do
@@ -761,7 +769,7 @@ let prewarm_curves g =
       s.Fleet.per_bucket
 
 let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
-  validate_global gcfg;
+  validate gcfg;
   let cfg = gcfg.base in
   let n_regions = gcfg.n_regions in
   let fc = cfg.fleet in

@@ -77,6 +77,11 @@ type config = {
   abort_threshold : int;
   bad_package_rate : float;
   thin_profile_rate : float;
+  force_bad_per_bucket : int option;
+      (** [Some k]: seed every bucket with exactly [k] bad packages plus
+          good ones up to [seeders_per_bucket], skipping fault injection and
+          the seeding gates ({!Cluster.Fleet.forced_seeding}); [None] (the
+          default) runs {!Cluster.Fleet.run_seeders}. *)
   duration : float;
   curve_horizon : float;
   tick : float;
@@ -169,14 +174,18 @@ type global_stats = {
   g_net : Cluster.Dist_net.counters;  (** the shared network's counters *)
 }
 
+(** [validate gcfg] checks every field {!run_global} relies on, including
+    the per-region fleet size and bucket count and the arrival curve.
+    @raise Invalid_argument naming the first invalid field. *)
+val validate : global_config -> unit
+
 (** [run_global ?telemetry ?mode gcfg app ~seed] — deterministic: same
     inputs produce identical {!global_digest}s across [`Epoch] (the
     default), [`Merged] and [`Parallel domains] (see above; the domain count
     is clamped to [\[1, n_regions\]], so [`Parallel 1] is an exact
     sequential replay of the barrier schedule).  With [n_regions > 1] the
     dist-net config is widened to cover every region with [cross_region]
-    forced on.  @raise Invalid_argument on invalid configs, including
-    [spillover] with [spill_latency < epoch]. *)
+    forced on.  @raise Invalid_argument as {!validate}, before any work. *)
 val run_global :
   ?telemetry:Js_telemetry.t ->
   ?mode:[ `Epoch | `Merged | `Parallel of int ] ->

@@ -98,7 +98,9 @@ let test_thin_package_degrades () =
   let covered p = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 p.S.covered in
   Alcotest.(check bool) "thin covers fewer" true (covered thin < covered full)
 
-(* --- fleet --- *)
+(* --- fleet: the §VI reliability gates on the discrete-event push --- *)
+
+module Push = Js_sim.Push
 
 let fleet_cfg =
   lazy
@@ -109,139 +111,141 @@ let fleet_cfg =
       server = Lazy.force small_cfg
     }
 
-let test_fleet_healthy_push () =
-  let app = Lazy.force small_app in
-  let stats =
-    Cluster.Fleet.simulate_push (Lazy.force fleet_cfg) app ~seed:1 ~bad_package_rate:0.
-      ~thin_profile_rate:0. ~duration:400.
+(* The whole fleet restarts at t = 1 without the push guardrail (drain cap
+   = fleet size, unreachable abort threshold), under 0.7 of warm load. *)
+let push ?telemetry ?(bad_package_rate = 0.) ?(thin_profile_rate = 0.) fleet ~seed ~duration =
+  let n = fleet.Cluster.Fleet.n_servers in
+  let cfg =
+    { Push.default_config with
+      Push.fleet;
+      warm_rps = 20.;
+      arrival =
+        { Js_sim.Arrival.default_config with
+          Js_sim.Arrival.base_rps = float_of_int n *. 20. *. 0.7
+        };
+      push_at = 1.;
+      drain_cap = n;
+      abort_threshold = max_int;
+      bad_package_rate;
+      thin_profile_rate;
+      duration;
+      curve_horizon = 900.
+    }
   in
-  Alcotest.(check int) "all seeders published" 12 stats.Cluster.Fleet.packages_published;
-  Alcotest.(check int) "no crashes" 0 (List.length stats.Cluster.Fleet.crashes);
-  Alcotest.(check int) "no fallbacks" 0 stats.Cluster.Fleet.fallbacks;
-  Alcotest.(check int) "everyone jump-started" 40 stats.Cluster.Fleet.jump_started;
+  Push.run ?telemetry cfg (Lazy.force small_app) ~seed
+
+let served_at stats t = Js_util.Stats.Series.value_at stats.Push.served_series t
+
+(* Crash counts per 30 s round, in time order, from the sink's events. *)
+let crash_rounds tel =
+  Alcotest.(check int) "no telemetry events dropped" 0 (Js_telemetry.dropped_events tel);
+  List.fold_left
+    (fun acc ev ->
+      match (ev, acc) with
+      | (at, Js_telemetry.Server_crashed _), (r, n) :: rest when Float.round (at /. 30.) = r ->
+        (r, n + 1) :: rest
+      | (at, Js_telemetry.Server_crashed _), _ -> (Float.round (at /. 30.), 1) :: acc
+      | _ -> acc)
+    [] (Js_telemetry.events tel)
+  |> List.rev_map snd
+
+let test_fleet_healthy_push () =
+  let stats = push (Lazy.force fleet_cfg) ~seed:1 ~duration:400. in
+  Alcotest.(check int) "all seeders published" 12 stats.Push.packages_published;
+  Alcotest.(check int) "no crashes" 0 stats.Push.crashes;
+  Alcotest.(check int) "no fallbacks" 0 stats.Push.fallbacks;
+  Alcotest.(check int) "everyone jump-started" 40 stats.Push.jump_started;
   Alcotest.(check (array int)) "per-bucket jump-starts (40 servers / 4 buckets)"
-    [| 10; 10; 10; 10 |] stats.Cluster.Fleet.bucket_jump_started;
+    [| 10; 10; 10; 10 |] stats.Push.bucket_jump_started;
   Alcotest.(check (array int)) "no per-bucket fallbacks" [| 0; 0; 0; 0 |]
-    stats.Cluster.Fleet.bucket_fallbacks;
+    stats.Push.bucket_fallbacks;
   Alcotest.(check bool) "fleet serves at end" true
-    (Js_util.Stats.Series.value_at stats.Cluster.Fleet.fleet_rps 399.
-    > 0.5 *. stats.Cluster.Fleet.fleet_peak_rps)
+    (served_at stats 399. > 0.5 *. stats.Push.fleet_warm_rps)
 
 let test_fleet_validation_catches_bad_packages () =
-  let app = Lazy.force small_app in
   let cfg = { (Lazy.force fleet_cfg) with Cluster.Fleet.validation_catch_rate = 1.0 } in
-  let stats =
-    Cluster.Fleet.simulate_push cfg app ~seed:2 ~bad_package_rate:0.5 ~thin_profile_rate:0.
-      ~duration:300.
-  in
-  Alcotest.(check int) "no bad package escapes" 0 stats.Cluster.Fleet.bad_packages_published;
-  Alcotest.(check bool) "some were rejected" true (stats.Cluster.Fleet.packages_rejected > 0)
+  let stats = push cfg ~seed:2 ~bad_package_rate:0.5 ~duration:300. in
+  Alcotest.(check int) "no bad package escapes" 0 stats.Push.bad_packages_published;
+  Alcotest.(check bool) "some were rejected" true (stats.Push.packages_rejected > 0);
+  Alcotest.(check int) "no crashes" 0 stats.Push.crashes
 
 let test_fleet_crash_decay () =
   (* with validation off and a high bad rate, consumers crash, then recover
      through random re-picks: later rounds crash fewer servers *)
-  let app = Lazy.force small_app in
   let cfg = { (Lazy.force fleet_cfg) with Cluster.Fleet.validation_catch_rate = 0. } in
-  let stats =
-    Cluster.Fleet.simulate_push cfg app ~seed:3 ~bad_package_rate:0.4 ~thin_profile_rate:0.
-      ~duration:900.
-  in
-  match stats.Cluster.Fleet.crashes with
+  let tel = Js_telemetry.create ~capacity:(1 lsl 14) () in
+  ignore (push ~telemetry:tel cfg ~seed:3 ~bad_package_rate:0.4 ~duration:900.);
+  match crash_rounds tel with
   | [] -> Alcotest.fail "expected crashes with unvalidated bad packages"
-  | (_, first) :: rest ->
-    let last = List.fold_left (fun _ (_, n) -> n) first rest in
+  | first :: rest ->
+    let last = List.fold_left (fun _ n -> n) first rest in
     Alcotest.(check bool) "crash rounds shrink" true (last <= first)
 
 let test_fleet_fallback_bounds_damage () =
   (* every package bad and validation off: all consumers must eventually
      fall back rather than crash-loop forever *)
-  let app = Lazy.force small_app in
   let cfg =
     { (Lazy.force fleet_cfg) with Cluster.Fleet.validation_catch_rate = 0.; max_boot_attempts = 2 }
   in
-  let stats =
-    Cluster.Fleet.simulate_push cfg app ~seed:4 ~bad_package_rate:1.0 ~thin_profile_rate:0.
-      ~duration:1_200.
-  in
-  Alcotest.(check bool) "servers fell back" true (stats.Cluster.Fleet.fallbacks > 0);
+  let stats = push cfg ~seed:4 ~bad_package_rate:1.0 ~duration:1_200. in
+  Alcotest.(check int) "every server fell back" 40 stats.Push.fallbacks;
   let sum = Array.fold_left ( + ) 0 in
-  Alcotest.(check int) "per-bucket fallbacks sum to total" stats.Cluster.Fleet.fallbacks
-    (sum stats.Cluster.Fleet.bucket_fallbacks);
-  Alcotest.(check int) "per-bucket jump-starts sum to total" stats.Cluster.Fleet.jump_started
-    (sum stats.Cluster.Fleet.bucket_jump_started);
-  Alcotest.(check bool) "fleet recovers" true
-    (Js_util.Stats.Series.value_at stats.Cluster.Fleet.fleet_rps 1_199. > 0.)
+  Alcotest.(check int) "per-bucket fallbacks sum to total" stats.Push.fallbacks
+    (sum stats.Push.bucket_fallbacks);
+  Alcotest.(check int) "per-bucket jump-starts sum to total" stats.Push.jump_started
+    (sum stats.Push.bucket_jump_started);
+  Alcotest.(check bool) "fleet recovers" true (served_at stats 1_199. > 0.)
 
 let test_fleet_thin_profiles_rejected () =
-  let app = Lazy.force small_app in
-  let stats =
-    Cluster.Fleet.simulate_push (Lazy.force fleet_cfg) app ~seed:5 ~bad_package_rate:0.
-      ~thin_profile_rate:1.0 ~duration:200.
-  in
+  let stats = push (Lazy.force fleet_cfg) ~seed:5 ~thin_profile_rate:1.0 ~duration:200. in
   (* the coverage gate rejects every thin attempt; retries exhaust *)
-  Alcotest.(check int) "nothing published" 0 stats.Cluster.Fleet.packages_published;
-  Alcotest.(check bool) "rejections recorded" true (stats.Cluster.Fleet.packages_rejected > 0)
+  Alcotest.(check int) "nothing published" 0 stats.Push.packages_published;
+  Alcotest.(check bool) "rejections recorded" true (stats.Push.packages_rejected > 0);
+  Alcotest.(check int) "every server boots without a package" 40 stats.Push.fallbacks
+
+(* One telemetry document of a crashing push. *)
+let crashing_push_json () =
+  let cfg = { (Lazy.force fleet_cfg) with Cluster.Fleet.validation_catch_rate = 0. } in
+  let tel = Js_telemetry.create () in
+  let stats = push ~telemetry:tel cfg ~seed:11 ~bad_package_rate:0.3 ~duration:400. in
+  (Js_telemetry.to_json tel, tel, stats)
 
 let test_fleet_telemetry_deterministic () =
   (* same seed, same config -> byte-identical telemetry documents *)
-  let app = Lazy.force small_app in
-  let cfg = { (Lazy.force fleet_cfg) with Cluster.Fleet.validation_catch_rate = 0. } in
-  let run () =
-    let tel = Js_telemetry.create () in
-    let stats =
-      Cluster.Fleet.simulate_push ~telemetry:tel cfg app ~seed:11 ~bad_package_rate:0.3
-        ~thin_profile_rate:0. ~duration:400.
-    in
-    (Js_telemetry.to_json tel, tel, stats)
-  in
-  let json1, _, _ = run () in
-  let json2, tel, stats = run () in
+  let json1, _, _ = crashing_push_json () in
+  let json2, tel, stats = crashing_push_json () in
   Alcotest.(check string) "identical telemetry" json1 json2;
-  (* the gauges must agree with the stats the simulator itself reports *)
-  let n = float_of_int cfg.Cluster.Fleet.n_servers in
-  Alcotest.(check (option (float 1e-9))) "fallback rate consistent"
-    (Some (float_of_int stats.Cluster.Fleet.fallbacks /. n))
-    (Js_telemetry.gauge tel "fleet.fallback_rate");
-  Alcotest.(check (option (float 1e-9))) "jump-start rate consistent"
-    (Some (float_of_int stats.Cluster.Fleet.jump_started /. n))
-    (Js_telemetry.gauge tel "fleet.jump_start_rate");
-  Alcotest.(check int) "published counter consistent" stats.Cluster.Fleet.packages_published
-    (Js_telemetry.counter tel "fleet.packages_published");
-  (* every server booted at least once, so boot spans and the histogram are
-     populated *)
-  Alcotest.(check bool) "boot spans recorded" true
-    (List.length (Js_telemetry.spans tel) >= cfg.Cluster.Fleet.n_servers);
-  (match Js_telemetry.histograms tel with
-  | [ ("fleet.boot_seconds", v) ] ->
-    Alcotest.(check bool) "histogram counts boots" true
-      (v.Js_telemetry.total >= cfg.Cluster.Fleet.n_servers)
-  | _ -> Alcotest.fail "expected exactly the fleet.boot_seconds histogram")
+  Alcotest.(check bool) "the push crashed" true (stats.Push.crashes > 0);
+  (* the counters must agree with the stats the simulator itself reports *)
+  Alcotest.(check int) "fallback counter consistent" stats.Push.fallbacks
+    (Js_telemetry.counter tel "sim.fallbacks");
+  Alcotest.(check int) "jump-start counter consistent" stats.Push.jump_started
+    (Js_telemetry.counter tel "sim.jump_started");
+  Alcotest.(check int) "crash counter consistent" stats.Push.crashes
+    (Js_telemetry.counter tel "sim.crashes");
+  (* every restart records one boot span: one per server, one per crash *)
+  Alcotest.(check int) "boot spans recorded" (40 + stats.Push.crashes)
+    (List.length (Js_telemetry.spans tel))
 
 let test_fleet_telemetry_cache_invariant () =
   (* the whole-stack A/B from the interpreter's inline-cache work: flipping
      the process-wide cache default must leave the fleet's telemetry document
      byte-identical — caching may only change speed, never behavior *)
-  let app = Lazy.force small_app in
-  let cfg = { (Lazy.force fleet_cfg) with Cluster.Fleet.validation_catch_rate = 0. } in
   let run_with inline_cache =
     let saved = !Interp.Engine.default_inline_cache in
     Interp.Engine.default_inline_cache := inline_cache;
     Fun.protect
       ~finally:(fun () -> Interp.Engine.default_inline_cache := saved)
       (fun () ->
-        let tel = Js_telemetry.create () in
-        ignore
-          (Cluster.Fleet.simulate_push ~telemetry:tel cfg app ~seed:11 ~bad_package_rate:0.3
-             ~thin_profile_rate:0. ~duration:400.);
-        Js_telemetry.to_json tel)
+        let json, _, _ = crashing_push_json () in
+        json)
   in
   Alcotest.(check string) "telemetry byte-identical cached vs uncached" (run_with true)
     (run_with false)
 
 let test_fleet_dist_faults_absorbed () =
-  (* ISSUE acceptance: at 30% transient fetch failure plus timeouts, the
-     retry/backoff ladder keeps (well over) 99% of servers jump-started *)
-  let app = Lazy.force small_app in
+  (* at 30% transient fetch failure plus timeouts, the retry/backoff ladder
+     keeps (well over) 99% of servers jump-started *)
   let cfg =
     { (Lazy.force fleet_cfg) with
       Cluster.Fleet.dist =
@@ -252,15 +256,11 @@ let test_fleet_dist_faults_absorbed () =
         }
     }
   in
-  let stats =
-    Cluster.Fleet.simulate_push cfg app ~seed:21 ~bad_package_rate:0. ~thin_profile_rate:0.
-      ~duration:200.
-  in
+  let stats = push cfg ~seed:21 ~duration:200. in
   Alcotest.(check bool) ">=99% jump-started" true
-    (float_of_int stats.Cluster.Fleet.jump_started
-    >= 0.99 *. float_of_int cfg.Cluster.Fleet.n_servers);
-  Alcotest.(check int) "no crashes" 0 (List.length stats.Cluster.Fleet.crashes);
-  match stats.Cluster.Fleet.dist with
+    (float_of_int stats.Push.jump_started >= 0.99 *. float_of_int cfg.Cluster.Fleet.n_servers);
+  Alcotest.(check int) "no crashes" 0 stats.Push.crashes;
+  match stats.Push.dist with
   | None -> Alcotest.fail "active network must report counters"
   | Some c ->
     Alcotest.(check bool) "retries happened" true
@@ -272,44 +272,33 @@ let test_fleet_dist_faults_absorbed () =
 let test_fleet_dist_outage_degrades () =
   (* a fully unreachable network: every server degrades to a no-Jump-Start
      boot, nobody crashes, the fleet still serves *)
-  let app = Lazy.force small_app in
   let cfg =
     { (Lazy.force fleet_cfg) with
       Cluster.Fleet.dist =
         { Cluster.Dist_net.default_config with Cluster.Dist_net.fetch_fail_rate = 1.0 }
     }
   in
-  let stats =
-    Cluster.Fleet.simulate_push cfg app ~seed:22 ~bad_package_rate:0. ~thin_profile_rate:0.
-      ~duration:400.
-  in
-  Alcotest.(check int) "nobody jump-started" 0 stats.Cluster.Fleet.jump_started;
-  Alcotest.(check int) "everyone fell back" cfg.Cluster.Fleet.n_servers
-    stats.Cluster.Fleet.fallbacks;
-  Alcotest.(check int) "no crashes" 0 (List.length stats.Cluster.Fleet.crashes);
-  (match stats.Cluster.Fleet.dist with
+  let stats = push cfg ~seed:22 ~duration:400. in
+  Alcotest.(check int) "nobody jump-started" 0 stats.Push.jump_started;
+  Alcotest.(check int) "everyone fell back" cfg.Cluster.Fleet.n_servers stats.Push.fallbacks;
+  Alcotest.(check int) "no crashes" 0 stats.Push.crashes;
+  (match stats.Push.dist with
   | Some c -> Alcotest.(check int) "nothing delivered" 0 c.Cluster.Dist_net.deliveries
   | None -> Alcotest.fail "active network must report counters");
-  Alcotest.(check bool) "fleet serves on fallback code" true
-    (Js_util.Stats.Series.value_at stats.Cluster.Fleet.fleet_rps 399. > 0.)
+  Alcotest.(check bool) "fleet serves on fallback code" true (served_at stats 399. > 0.)
 
 let test_fleet_telemetry_crash_accounting () =
-  let app = Lazy.force small_app in
   let cfg = { (Lazy.force fleet_cfg) with Cluster.Fleet.validation_catch_rate = 0. } in
-  let tel = Js_telemetry.create () in
-  let stats =
-    Cluster.Fleet.simulate_push ~telemetry:tel cfg app ~seed:3 ~bad_package_rate:0.4
-      ~thin_profile_rate:0. ~duration:900.
-  in
-  let total_crashes = List.fold_left (fun acc (_, n) -> acc + n) 0 stats.Cluster.Fleet.crashes in
-  Alcotest.(check int) "crash counter matches stats" total_crashes
-    (Js_telemetry.counter tel "fleet.crashes");
-  let worst_round =
-    List.fold_left (fun acc (_, n) -> max acc n) 0 stats.Cluster.Fleet.crashes
-  in
-  Alcotest.(check (option (float 1e-9))) "blast radius gauge"
-    (Some (float_of_int worst_round))
-    (Js_telemetry.gauge tel "fleet.crash_blast_radius")
+  let tel = Js_telemetry.create ~capacity:(1 lsl 14) () in
+  let stats = push ~telemetry:tel cfg ~seed:3 ~bad_package_rate:0.4 ~duration:900. in
+  let rounds = crash_rounds tel in
+  Alcotest.(check bool) "servers crashed" true (stats.Push.crashes > 0);
+  Alcotest.(check int) "crash counter matches stats" stats.Push.crashes
+    (Js_telemetry.counter tel "sim.crashes");
+  Alcotest.(check int) "one crash event per crash" stats.Push.crashes
+    (List.fold_left ( + ) 0 rounds);
+  Alcotest.(check bool) "blast radius within the fleet" true
+    (List.for_all (fun n -> n <= cfg.Cluster.Fleet.n_servers) rounds)
 
 let () =
   Alcotest.run "cluster"

@@ -502,6 +502,41 @@ let test_push_bad_packages_crash_and_guardrail () =
   Alcotest.(check int) "bucket fallback sum" stats.Push.fallbacks
     (Array.fold_left ( + ) 0 stats.Push.bucket_fallbacks)
 
+let test_push_forced_bad_per_bucket () =
+  (* every bucket gets exactly k bad packages (clamped to its seeders), with
+     fault injection and the seeding gates bypassed *)
+  let cfg = Lazy.force push_cfg in
+  let fleet = cfg.Push.fleet in
+  let app = Lazy.force small_app in
+  List.iter
+    (fun k ->
+      let want = min k fleet.Cluster.Fleet.seeders_per_bucket in
+      let seeding = Cluster.Fleet.forced_seeding fleet app ~bad_per_bucket:k in
+      Array.iteri
+        (fun b pkgs ->
+          Alcotest.(check int)
+            (Printf.sprintf "k=%d bucket %d: bad packages" k b)
+            want
+            (List.length (List.filter (fun p -> p.S.bad) pkgs));
+          Alcotest.(check int)
+            (Printf.sprintf "k=%d bucket %d: packages" k b)
+            fleet.Cluster.Fleet.seeders_per_bucket (List.length pkgs))
+        seeding.Cluster.Fleet.per_bucket;
+      let stats =
+        Push.run
+          { cfg with Push.force_bad_per_bucket = Some k; bad_package_rate = 1.0 }
+          app ~seed:2
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "k=%d: bad published" k)
+        (want * fleet.Cluster.Fleet.n_buckets) stats.Push.bad_packages_published;
+      Alcotest.(check int)
+        (Printf.sprintf "k=%d: all published" k)
+        (fleet.Cluster.Fleet.seeders_per_bucket * fleet.Cluster.Fleet.n_buckets)
+        stats.Push.packages_published;
+      Alcotest.(check int) (Printf.sprintf "k=%d: none rejected" k) 0 stats.Push.packages_rejected)
+    [ 0; 1; 2; 3 ]
+
 let test_push_telemetry () =
   let tel = Js_telemetry.create () in
   let stats = Push.run ~telemetry:tel (Lazy.force push_cfg) (Lazy.force small_app) ~seed:1 in
@@ -610,7 +645,18 @@ let test_multiregion_validates () =
   let gcfg = { (Lazy.force global_cfg) with Region.spill_latency = 5.; epoch = 20. } in
   Alcotest.check_raises "spill latency below epoch"
     (Invalid_argument "Region: spill_latency must be >= epoch") (fun () ->
-      ignore (Region.run_global gcfg (Lazy.force small_app) ~seed:1))
+      ignore (Region.run_global gcfg (Lazy.force small_app) ~seed:1));
+  let base = (Lazy.force global_cfg).Region.base in
+  List.iter
+    (fun (msg, fleet) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore
+            (Region.run_global
+               { (Lazy.force global_cfg) with Region.base = { base with Region.fleet } }
+               (Lazy.force small_app) ~seed:1)))
+    [ ("Push: fleet.n_servers must be >= 1", { base.Region.fleet with Cluster.Fleet.n_servers = 0 });
+      ("Push: fleet.n_buckets must be >= 1", { base.Region.fleet with Cluster.Fleet.n_buckets = 0 })
+    ]
 
 let () =
   Alcotest.run "sim"
@@ -653,6 +699,8 @@ let () =
             test_push_record_latency_digest_neutral;
           Alcotest.test_case "bad packages + guardrail" `Quick
             test_push_bad_packages_crash_and_guardrail;
+          Alcotest.test_case "forced bad packages per bucket" `Quick
+            test_push_forced_bad_per_bucket;
           Alcotest.test_case "telemetry" `Quick test_push_telemetry
         ] );
       ( "region",
