@@ -27,6 +27,15 @@ done
 dune exec bin/minihack_run.exe -- analyze --codegen tiny > /dev/null
 
 dune exec bench/main.exe -- fig4b
+
+# Pinned Fig. 5: the steady-state pipeline (Ext-TSP block layout, lowering,
+# machine-model replays) must print exactly the pinned output.  Nothing else
+# in CI reads layout output, so any moved block-layout decision shows here.
+fig5_md5=$(dune exec bench/main.exe -- fig5 | md5sum | cut -d' ' -f1)
+if [ "$fig5_md5" != "063a670a13ecdde17b8ad9f518a81cba" ]; then
+  echo "fig5: output md5 moved: $fig5_md5" >&2
+  exit 1
+fi
 dune exec bench/main.exe -- perf --quick
 test -s BENCH_interp.quick.json
 # the typed-translation A/B must be present and byte-identical to untyped

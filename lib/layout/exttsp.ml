@@ -18,7 +18,7 @@ let default_params =
 (* Score contribution of one arc given the layout byte offsets of its
    endpoints.  [src_end] is the address just past the source block; [dst]
    the address of the target block. *)
-let arc_score params ~weight ~src_end ~dst =
+let[@inline] arc_score params ~weight ~src_end ~dst =
   if dst = src_end then weight
   else if dst > src_end then begin
     let gap = dst - src_end in
@@ -55,7 +55,7 @@ let score ?(params = default_params) cfg order =
     order;
   Array.fold_left
     (fun acc (a : Cfg.arc) ->
-      if a.src = a.dst then acc (* self-loops always score as backward jump of size src *)
+      if a.src = a.dst then acc (* self-loops score nothing, as in [seq_score] *)
       else acc +. arc_score params ~weight:a.weight ~src_end:stop.(a.src) ~dst:start.(a.dst))
     0. (Cfg.arcs cfg)
 
@@ -69,31 +69,39 @@ type chain = {
   mutable alive : bool;
 }
 
-(* Evaluate the Ext-TSP score restricted to arcs internal to a hypothetical
-   ordered block sequence. *)
-let seq_score params cfg block_sizes in_seq seq =
-  (* offsets within the sequence *)
-  let start = Hashtbl.create (Array.length seq * 2) in
-  let stop = Hashtbl.create (Array.length seq * 2) in
+(* A chain pair's best merge: the receiver's sequence with the other chain's
+   inserted at [cut] scores [score], [gain] more than the two apart. *)
+type merge = { gain : float; cut : int; score : float }
+
+(* Value of a connected chain pair: its best merge, valid until either chain
+   changes ([stale] is set when the receiver absorbs another chain). *)
+type pair = { mutable stale : bool; mutable best : merge option }
+
+(* Ext-TSP score of the arcs internal to [xs.(0..cut-1) @ ys @ xs.(cut..)],
+   scored in place without building the sequence.  [member] marks the blocks
+   of [xs] and [ys]; [succs] holds each block's [Cfg.succs]; [start] and
+   [stop] are per-block scratch offsets.  Blocks and their successors are
+   visited in sequence order, so the float sum is the same as over the built
+   sequence. *)
+let seq_score params ~succs block_sizes ~member ~start ~stop xs ys cut =
+  let nx = Array.length xs and ny = Array.length ys in
+  let block i = if i < cut then xs.(i) else if i < cut + ny then ys.(i - cut) else xs.(i - ny) in
   let off = ref 0 in
-  Array.iter
-    (fun id ->
-      Hashtbl.replace start id !off;
-      off := !off + block_sizes.(id);
-      Hashtbl.replace stop id !off)
-    seq;
+  for i = 0 to nx + ny - 1 do
+    let id = block i in
+    start.(id) <- !off;
+    off := !off + block_sizes.(id);
+    stop.(id) <- !off
+  done;
   let acc = ref 0. in
-  Array.iter
-    (fun id ->
-      List.iter
-        (fun (a : Cfg.arc) ->
-          if a.src <> a.dst && in_seq a.dst then
-            acc :=
-              !acc
-              +. arc_score params ~weight:a.weight ~src_end:(Hashtbl.find stop a.src)
-                   ~dst:(Hashtbl.find start a.dst))
-        (Cfg.succs cfg id))
-    seq;
+  for i = 0 to nx + ny - 1 do
+    let arcs = succs.(block i) in
+    for k = 0 to Array.length arcs - 1 do
+      let (a : Cfg.arc) = arcs.(k) in
+      if a.src <> a.dst && member.(a.dst) then
+        acc := !acc +. arc_score params ~weight:a.weight ~src_end:stop.(a.src) ~dst:start.(a.dst)
+    done
+  done;
   !acc
 
 let layout ?(params = default_params) cfg =
@@ -104,97 +112,95 @@ let layout ?(params = default_params) cfg =
   else begin
     let entry = Cfg.entry cfg in
     let block_sizes = Array.map (fun b -> b.Cfg.size) blocks in
+    let succs = Array.init n (fun id -> Array.of_list (Cfg.succs cfg id)) in
     let chains = Array.init n (fun i ->
         { cid = i; blocks_seq = [| i |]; size = blocks.(i).Cfg.size; weight = blocks.(i).Cfg.weight; alive = true })
     in
     let chain_of = Array.init n (fun i -> i) in
     let member = Array.make n false in
-    (* score of a chain's internal arcs, cached *)
+    let start = Array.make n 0 and stop = Array.make n 0 in
+    (* score of a chain's internal arcs; a single block has none *)
     let chain_score = Array.make n 0. in
-    let compute_chain_score c =
-      Array.iter (fun id -> member.(id) <- true) c.blocks_seq;
-      let s = seq_score params cfg block_sizes (fun id -> member.(id)) c.blocks_seq in
-      Array.iter (fun id -> member.(id) <- false) c.blocks_seq;
-      s
-    in
-    (* candidate merged sequences of chains x (receiver) and y *)
-    let merge_candidates x y =
-      let xs = x.blocks_seq and ys = y.blocks_seq in
-      let base = [ Array.append xs ys; Array.append ys xs ] in
-      let with_splits =
-        if Array.length xs <= params.max_chain_split && Array.length xs > 1 then begin
-          (* insert y at each interior split point of x *)
-          let variants = ref [] in
-          for cut = 1 to Array.length xs - 1 do
-            let x1 = Array.sub xs 0 cut and x2 = Array.sub xs cut (Array.length xs - cut) in
-            variants := Array.concat [ x1; ys; x2 ] :: !variants
-          done;
-          !variants
-        end
-        else []
-      in
-      base @ with_splits
-    in
-    (* entry block must stay first: reject candidates placing anything before it *)
-    let valid_seq seq = if Array.exists (fun id -> id = entry) seq then seq.(0) = entry else true in
+    let mark seq v = Array.iter (fun id -> member.(id) <- v) seq in
+    (* Candidates in order: x@y, y@x, then y inserted at each cut of x from
+       the last down to the first (only if x is short enough to split).  The
+       entry block must stay first; the first best score wins. *)
     let best_merge x y =
-      let joint_member id = member.(id) in
-      Array.iter (fun id -> member.(id) <- true) x.blocks_seq;
-      Array.iter (fun id -> member.(id) <- true) y.blocks_seq;
+      let xs = x.blocks_seq and ys = y.blocks_seq in
+      let nx = Array.length xs in
+      mark xs true;
+      mark ys true;
+      let entry_inside = member.(entry) in
       let best = ref None in
-      List.iter
-        (fun seq ->
-          if valid_seq seq then begin
-            let s = seq_score params cfg block_sizes joint_member seq in
-            match !best with
-            | Some (bs, _) when bs >= s -> ()
-            | _ -> best := Some (s, seq)
-          end)
-        (merge_candidates x y);
-      Array.iter (fun id -> member.(id) <- false) x.blocks_seq;
-      Array.iter (fun id -> member.(id) <- false) y.blocks_seq;
+      let try_cut cut =
+        if (not entry_inside) || (if cut = 0 then ys.(0) else xs.(0)) = entry then begin
+          let s = seq_score params ~succs block_sizes ~member ~start ~stop xs ys cut in
+          match !best with
+          | Some (bs, _) when bs >= s -> ()
+          | _ -> best := Some (s, cut)
+        end
+      in
+      try_cut nx;
+      try_cut 0;
+      if nx > 1 && nx <= params.max_chain_split then
+        for cut = nx - 1 downto 1 do
+          try_cut cut
+        done;
+      mark xs false;
+      mark ys false;
       match !best with
       | None -> None
-      | Some (s, seq) ->
-        let gain = s -. chain_score.(x.cid) -. chain_score.(y.cid) in
-        if gain > 1e-9 then Some (gain, seq) else None
+      | Some (score, cut) ->
+        let gain = score -. chain_score.(x.cid) -. chain_score.(y.cid) in
+        if gain > 1e-9 then Some { gain; cut; score } else None
     in
-    Array.iter (fun c -> chain_score.(c.cid) <- compute_chain_score c) chains;
     (* Only chain pairs connected by at least one arc are merge candidates. *)
     let connected = Hashtbl.create 64 in
-    let note_pair a b = if a <> b then Hashtbl.replace connected (min a b, max a b) () in
+    let note_pair a b =
+      if a <> b then Hashtbl.replace connected (min a b, max a b) { stale = true; best = None }
+    in
     Array.iter (fun (a : Cfg.arc) -> note_pair chain_of.(a.src) chain_of.(a.dst)) (Cfg.arcs cfg);
     let rec iterate () =
       (* find the best gain over all connected alive chain pairs *)
       let best = ref None in
       Hashtbl.iter
-        (fun (ca, cb) () ->
+        (fun (ca, cb) p ->
           let x = chains.(ca) and y = chains.(cb) in
-          if x.alive && y.alive && x.cid <> y.cid then
-            match best_merge x y with
+          if x.alive && y.alive then begin
+            if p.stale then begin
+              p.best <- best_merge x y;
+              p.stale <- false
+            end;
+            match p.best with
             | None -> ()
-            | Some (gain, seq) -> (
+            | Some m -> (
               match !best with
-              | Some (bg, _, _, _) when bg >= gain -> ()
-              | _ -> best := Some (gain, x, y, seq)))
+              | Some (bg, _, _, _) when bg >= m.gain -> ()
+              | _ -> best := Some (m.gain, x, y, m))
+          end)
         connected;
       match !best with
       | None -> ()
-      | Some (_, x, y, seq) ->
+      | Some (_, x, y, m) ->
         (* merge y into x with the winning sequence *)
+        let xs = x.blocks_seq in
+        let seq =
+          Array.concat [ Array.sub xs 0 m.cut; y.blocks_seq; Array.sub xs m.cut (Array.length xs - m.cut) ]
+        in
         x.blocks_seq <- seq;
         x.size <- x.size + y.size;
         x.weight <- x.weight +. y.weight;
         y.alive <- false;
         Array.iter (fun id -> chain_of.(id) <- x.cid) seq;
-        chain_score.(x.cid) <- compute_chain_score x;
-        (* re-point connectivity of y to x *)
+        chain_score.(x.cid) <- m.score;
+        (* x changed: its cached merges are stale; re-point y's pairs to x *)
         let to_add = ref [] in
         Hashtbl.iter
-          (fun (ca, cb) () ->
-            if ca = y.cid || cb = y.cid then begin
+          (fun (ca, cb) p ->
+            if ca = x.cid || cb = x.cid then p.stale <- true
+            else if ca = y.cid || cb = y.cid then begin
               let other = if ca = y.cid then cb else ca in
-              if other <> x.cid then to_add := other :: !to_add
+              to_add := other :: !to_add
             end)
           connected;
         List.iter (fun other -> note_pair x.cid other) !to_add;

@@ -9,10 +9,15 @@
     - forward jump with gap [0 < d <= 1024]: [0.1 * w * (1 - d/1024)];
     - backward jump with gap [0 < d <= 640]:  [0.1 * w * (1 - d/640)].
 
+    Self-loops score nothing under any order.
+
     The optimizer greedily merges chains of blocks, considering both
     concatenation orders and splitting the receiving chain, until no merge
     improves the score; remaining chains are emitted entry-chain first, then
-    by decreasing density. *)
+    by decreasing density.  The best merge of each connected chain pair is
+    computed once and cached per pair; it stays valid until either chain of
+    the pair changes, so a merge re-scores only the pairs of the chain that
+    grew. *)
 
 (** Scoring parameters; {!default_params} matches the published constants. *)
 type params = {

@@ -31,7 +31,10 @@ let test_score_fallthrough () =
   Alcotest.(check (float 1e-6)) "fallthrough" 100. (Exttsp.score cfg [| 0; 1 |]);
   (* reversed: backward jump of 20 bytes within window *)
   let back = Exttsp.score cfg [| 1; 0 |] in
-  Alcotest.(check bool) "backward partial credit" true (back > 0. && back < 100.)
+  Alcotest.(check bool) "backward partial credit" true (back > 0. && back < 100.);
+  (* a self-loop scores nothing under any order *)
+  let looped = mk_cfg [ (10, 100.); (10, 100.) ] [ (0, 1, 100.); (1, 1, 50.) ] 0 in
+  Alcotest.(check (float 0.)) "self-loop adds 0" (Exttsp.score cfg [| 0; 1 |]) (Exttsp.score looped [| 0; 1 |])
 
 let test_score_forward_window () =
   (* forward jump beyond the 1024-byte window scores zero *)
@@ -109,6 +112,43 @@ let test_layout_improves_on_random_cfgs () =
     Alcotest.(check bool) "no catastrophic regression" true (s_opt >= 0.5 *. s_src)
   done;
   Alcotest.(check bool) "usually improves" true (!better >= 15)
+
+(* Pins Ext-TSP's exact output: the md5 of [Exttsp.layout] over 500 seeded
+   random CFGs.  Small-integer weights make equal merge gains common, so the
+   tie-break and the order in which chain pairs are visited both show; entries
+   other than block 0, self-loops and duplicate arcs are drawn too, and every
+   100th CFG has over 128 blocks on a fall-through backbone, so chains grow
+   past [max_chain_split] and the no-split path runs. *)
+let pinned_cfg rng k =
+  let module R = Js_util.Rng in
+  let big = k mod 100 = 99 in
+  let n = if big then 130 + R.int rng 30 else 1 + R.int rng 24 in
+  let small_w = R.bool rng 0.5 in
+  let w () = if small_w then float_of_int (R.int rng 4) else R.float rng 100. in
+  let blocks = List.init n (fun _ -> (1 + R.int rng 64, w ())) in
+  let backbone = if big then List.init (n - 1) (fun i -> (i, i + 1, 1. +. w ())) else [] in
+  let random_arcs =
+    List.init (R.int rng ((2 * n) + 1)) (fun _ ->
+        let src = R.int rng n in
+        let dst = if R.bool rng 0.1 then src else R.int rng n in
+        (src, dst, w ()))
+  in
+  let arcs = backbone @ random_arcs in
+  let dups = List.filter (fun _ -> R.bool rng 0.15) arcs in
+  let entry = if R.bool rng 0.5 then 0 else R.int rng n in
+  mk_cfg blocks (arcs @ dups) entry
+
+let layout_digest () =
+  let rng = Js_util.Rng.create 2020 in
+  let buf = Buffer.create 65536 in
+  for k = 0 to 499 do
+    Array.iter (fun b -> Buffer.add_string buf (string_of_int b ^ ",")) (Exttsp.layout (pinned_cfg rng k));
+    Buffer.add_char buf '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_layout_pinned () =
+  Alcotest.(check string) "layout md5 over 500 random cfgs" "557ec2a9b784c0d7b17690c6adb1a34d" (layout_digest ())
 
 (* --- hot/cold --- *)
 
@@ -209,7 +249,8 @@ let () =
           Alcotest.test_case "entry first" `Quick test_layout_entry_first;
           Alcotest.test_case "hot fallthrough" `Quick test_layout_prefers_hot_fallthrough;
           Alcotest.test_case "loop bodies" `Quick test_layout_loop_rotation;
-          Alcotest.test_case "random cfgs" `Quick test_layout_improves_on_random_cfgs
+          Alcotest.test_case "random cfgs" `Quick test_layout_improves_on_random_cfgs;
+          Alcotest.test_case "pinned output" `Quick test_layout_pinned
         ] );
       ( "hotcold",
         [ Alcotest.test_case "split" `Quick test_hotcold_split;

@@ -153,11 +153,11 @@ let cfg_gen =
         (list_size (int_range 0 30)
            (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) (float_range 0. 100.))))
 
-let build_cfg (n, arcs) =
+let build_cfg ?(entry = 0) (n, arcs) =
   Layout.Cfg.create
     ~blocks:(Array.init n (fun i -> { Layout.Cfg.id = i; size = 8 + (i * 4); weight = 1. }))
     ~arcs:(Array.of_list (List.map (fun (src, dst, weight) -> { Layout.Cfg.src; dst; weight }) arcs))
-    ~entry:0
+    ~entry
 
 let is_permutation n order =
   let seen = Array.make n false in
@@ -175,10 +175,13 @@ let is_permutation n order =
 
 let prop_exttsp_permutation =
   QCheck.Test.make ~name:"exttsp layout is an entry-first permutation" ~count:200 cfg_gen
-    (fun spec ->
-      let cfg = build_cfg spec in
-      let order = Layout.Exttsp.layout cfg in
-      is_permutation (fst spec) order && order.(0) = 0)
+    (fun ((n, _) as spec) ->
+      (* the entry is block 0, a middle block or the last block *)
+      List.for_all
+        (fun entry ->
+          let order = Layout.Exttsp.layout (build_cfg ~entry spec) in
+          is_permutation n order && order.(0) = entry)
+        [ 0; n / 2; n - 1 ])
 
 let prop_exttsp_score_nonneg =
   QCheck.Test.make ~name:"exttsp score non-negative" ~count:200 cfg_gen (fun spec ->
