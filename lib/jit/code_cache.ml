@@ -5,6 +5,8 @@ type placed = {
   order : int array;
   n_hot : int;
   offsets : int array;
+  ends : int array;
+  succs : int array array;
   hot_base : int;
   hot_size : int;
   cold_base : int;
@@ -19,7 +21,7 @@ type t = {
   mutable hot_cursor : int;
   mutable cold_cursor : int;
   mutable placed_rev : placed list;
-  by_fid : (int, placed) Hashtbl.t;
+  mutable by_fid : placed option array;  (* fid -> current placement *)
 }
 
 let hot_origin = 0x1000_0000
@@ -40,7 +42,7 @@ let create ?(hot_capacity = 128 * 1024 * 1024) ?(cold_capacity = 256 * 1024 * 10
     hot_cursor = 0;
     cold_cursor = 0;
     placed_rev = [];
-    by_fid = Hashtbl.create 64;
+    by_fid = Array.make 64 None;
   }
 
 let place t vfunc ~order ~n_hot =
@@ -77,6 +79,8 @@ let place t vfunc ~order ~n_hot =
         order = Array.copy order;
         n_hot;
         offsets;
+        ends = Array.mapi (fun id (b : VF.block) -> offsets.(id) + b.VF.size) blocks;
+        succs = Array.map (fun (b : VF.block) -> Array.of_list b.VF.succs) blocks;
         hot_base;
         hot_size = !hot_size;
         cold_base;
@@ -87,11 +91,18 @@ let place t vfunc ~order ~n_hot =
     t.cold_cursor <-
       t.cold_cursor + ((!cold_size + cold_alignment - 1) / cold_alignment * cold_alignment);
     t.placed_rev <- p :: t.placed_rev;
-    Hashtbl.replace t.by_fid vfunc.VF.root_fid p;
-    Some p
+    let fid = vfunc.VF.root_fid in
+    if fid >= Array.length t.by_fid then begin
+      let grown = Array.make (max (fid + 1) (2 * Array.length t.by_fid)) None in
+      Array.blit t.by_fid 0 grown 0 (Array.length t.by_fid);
+      t.by_fid <- grown
+    end;
+    let entry = Some p in
+    t.by_fid.(fid) <- entry;
+    entry
   end
 
-let lookup t fid = Hashtbl.find_opt t.by_fid fid
+let lookup t fid = if fid >= 0 && fid < Array.length t.by_fid then t.by_fid.(fid) else None
 let placed_list t = List.rev t.placed_rev
 let used_hot t = t.hot_cursor
 let used_cold t = t.cold_cursor
@@ -100,7 +111,7 @@ let reset t =
   t.hot_cursor <- 0;
   t.cold_cursor <- 0;
   t.placed_rev <- [];
-  Hashtbl.reset t.by_fid
+  Array.fill t.by_fid 0 (Array.length t.by_fid) None
 
 let block_addr p block_id = p.offsets.(block_id)
 let entry_addr p = p.offsets.(p.vfunc.VF.entry)

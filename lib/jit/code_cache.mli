@@ -13,6 +13,8 @@ type placed = {
   order : int array;  (** block layout order, hot prefix first *)
   n_hot : int;  (** blocks in [order.(0 .. n_hot-1)] are in the hot area *)
   offsets : int array;  (** block id -> absolute simulated address *)
+  ends : int array;  (** block id -> address just past the block *)
+  succs : int array array;  (** block id -> successors, in [Vfunc] list order *)
   hot_base : int;
   hot_size : int;
   cold_base : int;
@@ -30,6 +32,8 @@ val create : ?hot_capacity:int -> ?cold_capacity:int -> unit -> t
     stop). *)
 val place : t -> Vasm.Vfunc.t -> order:int array -> n_hot:int -> placed option
 
+(** [lookup t fid] — the current placement of [fid]'s translation: an array
+    index, no hashing, always reflecting the latest [place] or [reset]. *)
 val lookup : t -> Hhbc.Instr.fid -> placed option
 val placed_list : t -> placed list
 

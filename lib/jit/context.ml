@@ -18,10 +18,13 @@ let null_handler =
     on_prop = (fun ~addr:_ ~write:_ -> ());
   }
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type frame = {
   f_fid : Hhbc.Instr.fid;
-  ctx : (VF.t * int) option;  (* translation and inline-tree node *)
-  inlined : bool;  (* ctx shared with the caller's translation *)
+  vf : VF.t option;  (* translation executing this frame *)
+  node : int;  (* inline-tree node of [vf] *)
+  inlined : bool;  (* vf shared with the caller's translation *)
   mutable last_block : int;  (* last vasm block executed in this frame *)
 }
 
@@ -30,22 +33,30 @@ type state = {
   lookup : Hhbc.Instr.fid -> VF.t option;
   h : handler;
   mutable stack : frame list;
-  mutable pending : (Hhbc.Instr.fid * int * Hhbc.Instr.fid) option;  (* caller, site, callee *)
+  (* the announced call not yet entered: caller, site, callee; -1 = none *)
+  mutable pending_caller : Hhbc.Instr.fid;
+  mutable pending_site : int;
+  mutable pending_callee : Hhbc.Instr.fid;
   (* instr index -> bb id, cached per function *)
   bb_maps : (int, int array) Hashtbl.t;
   (* polymorphic inline caches: per (caller fid, site), the first
      [pic_entries] distinct callees dispatch on the fast path; anything else
      executes the site's slow-path block (generic dispatch) *)
-  pics : (int * int, Hhbc.Instr.fid list ref) Hashtbl.t;
+  pics : Hhbc.Instr.fid list ref Int_tbl.t;
 }
 
 let pic_entries = 2
 
+(* One int per (caller fid, site): sites are instruction indices, far below
+   2^32. *)
+let pic_key ~caller ~site = (caller lsl 32) lor site
+
 (* [true] when this dynamic callee misses the site's inline cache. *)
 let pic_miss st ~caller ~site ~callee =
-  match Hashtbl.find_opt st.pics (caller, site) with
+  let key = pic_key ~caller ~site in
+  match Int_tbl.find_opt st.pics key with
   | None ->
-    Hashtbl.add st.pics (caller, site) (ref [ callee ]);
+    Int_tbl.add st.pics key (ref [ callee ]);
     false
   | Some entries ->
     if List.mem callee !entries then false
@@ -75,27 +86,39 @@ let caller_root st =
   match st.stack with
   | [] -> None
   | top :: _ -> (
-    match top.ctx with
-    | Some (vf, _) -> Some vf.VF.root_fid
+    match top.vf with
+    | Some vf -> Some vf.VF.root_fid
     | None -> Some top.f_fid)
 
+(* A frame running [fid]'s own translation, if it has one. *)
+let own_frame st fid =
+  { f_fid = fid; vf = st.lookup fid; node = 0; inlined = false; last_block = -1 }
+
 let enter st fid =
+  let caller_fid = st.pending_caller and site = st.pending_site in
+  let announced = st.pending_callee = fid in
+  st.pending_caller <- -1;
+  st.pending_site <- -1;
+  st.pending_callee <- -1;
   let frame =
-    match st.pending with
-    | Some (caller_fid, site, callee) when callee = fid -> (
-      st.pending <- None;
+    if not announced then begin
+      st.h.on_xcall ~caller:None ~callee:fid;
+      own_frame st fid
+    end
+    else
       match st.stack with
       | top :: _ when top.f_fid = caller_fid -> (
-        match top.ctx with
-        | Some (vf, node) -> (
+        match top.vf with
+        | Some vf -> (
+          let node = top.node in
           let take_slow_path () =
             let site_bb = (bb_map st caller_fid).(site) in
-            match VF.slow_block vf ~node ~bb:site_bb with
-            | Some slow ->
+            let slow = VF.slow_id vf ~node ~bb:site_bb in
+            if slow >= 0 then begin
               if top.last_block >= 0 then st.h.on_varc vf ~src:top.last_block ~dst:slow;
               st.h.on_vblock vf slow;
               top.last_block <- slow
-            | None -> ()
+            end
           in
           let is_method_site =
             match (Hhbc.Repo.func st.repo caller_fid).Hhbc.Func.body.(site) with
@@ -105,29 +128,25 @@ let enter st fid =
           match IT.child_at vf.VF.tree node site with
           | Some child when child.IT.fid = fid ->
             (* inlined: stay inside the caller's translation *)
-            { f_fid = fid; ctx = Some (vf, child.IT.node_id); inlined = true; last_block = top.last_block }
+            { f_fid = fid; vf = top.vf; node = child.IT.node_id; inlined = true; last_block = top.last_block }
           | Some _ ->
             (* inline guard failure: slow path, then an out-of-line call *)
             take_slow_path ();
             st.h.on_xcall ~caller:(Some vf.VF.root_fid) ~callee:fid;
-            { f_fid = fid; ctx = Option.map (fun v -> (v, 0)) (st.lookup fid); inlined = false; last_block = -1 }
+            own_frame st fid
           | None ->
             (* dynamic dispatch through a polymorphic inline cache: callees
                beyond the cached set run the generic (slow) path *)
             if is_method_site && pic_miss st ~caller:caller_fid ~site ~callee:fid then
               take_slow_path ();
             st.h.on_xcall ~caller:(Some vf.VF.root_fid) ~callee:fid;
-            { f_fid = fid; ctx = Option.map (fun v -> (v, 0)) (st.lookup fid); inlined = false; last_block = -1 })
+            own_frame st fid)
         | None ->
           st.h.on_xcall ~caller:(caller_root st) ~callee:fid;
-          { f_fid = fid; ctx = Option.map (fun v -> (v, 0)) (st.lookup fid); inlined = false; last_block = -1 })
+          own_frame st fid)
       | _ ->
         st.h.on_xcall ~caller:None ~callee:fid;
-        { f_fid = fid; ctx = Option.map (fun v -> (v, 0)) (st.lookup fid); inlined = false; last_block = -1 })
-    | Some _ | None ->
-      st.pending <- None;
-      st.h.on_xcall ~caller:None ~callee:fid;
-      { f_fid = fid; ctx = Option.map (fun v -> (v, 0)) (st.lookup fid); inlined = false; last_block = -1 }
+        own_frame st fid
   in
   st.stack <- frame :: st.stack
 
@@ -138,8 +157,8 @@ let exit_frame st fid =
     if top.f_fid = fid then begin
       st.stack <- rest;
       (* inlined return: arc back into the caller's current block *)
-      match (top.ctx, top.inlined, rest) with
-      | Some (vf, _), true, parent :: _ ->
+      match (top.vf, top.inlined, rest) with
+      | Some vf, true, parent :: _ ->
         if top.last_block >= 0 && parent.last_block >= 0 && parent.last_block <> top.last_block
         then st.h.on_varc vf ~src:top.last_block ~dst:parent.last_block
       | _, _, _ -> ()
@@ -148,27 +167,40 @@ let exit_frame st fid =
 let block st fid bb =
   match st.stack with
   | top :: _ when top.f_fid = fid -> (
-    match top.ctx with
-    | Some (vf, node) -> (
-      match VF.main_block vf ~node ~bb with
-      | Some blk ->
+    match top.vf with
+    | Some vf ->
+      let blk = VF.main_id vf ~node:top.node ~bb in
+      if blk >= 0 then begin
         if top.last_block >= 0 then st.h.on_varc vf ~src:top.last_block ~dst:blk;
         st.h.on_vblock vf blk;
         top.last_block <- blk
-      | None -> st.h.on_untranslated fid bb)
+      end
+      else st.h.on_untranslated fid bb
     | None -> st.h.on_untranslated fid bb)
   | _ -> ()
 
 let probes repo ~lookup handler =
   let st =
-    { repo; lookup; h = handler; stack = []; pending = None; bb_maps = Hashtbl.create 64;
-      pics = Hashtbl.create 256
+    {
+      repo;
+      lookup;
+      h = handler;
+      stack = [];
+      pending_caller = -1;
+      pending_site = -1;
+      pending_callee = -1;
+      bb_maps = Hashtbl.create 64;
+      pics = Int_tbl.create 256;
     }
   in
   {
     Interp.Probes.on_block = (fun fid bb -> block st fid bb);
     on_arc = (fun _ ~src:_ ~dst:_ -> ());
-    on_call = (fun ~caller ~site ~callee -> st.pending <- Some (caller, site, callee));
+    on_call =
+      (fun ~caller ~site ~callee ->
+        st.pending_caller <- caller;
+        st.pending_site <- site;
+        st.pending_callee <- callee);
     on_func_entry = (fun fid -> enter st fid);
     on_func_exit = (fun fid -> exit_frame st fid);
     on_prop_access = (fun _ _ ~addr ~write -> handler.on_prop ~addr ~write);

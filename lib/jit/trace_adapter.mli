@@ -16,7 +16,18 @@
       locality cost is captured by the callee entry fetch;
     - untranslated (interpreter) execution emits no fetches: the
       interpreter's own loop is small and cache-resident, and its dispatch
-      cost is accounted by {!Tiers}. *)
+      cost is accounted by {!Tiers};
+    - a branch's pc is [src_end - 4 - 4 * slot], where [slot] is the first
+      index of the destination in the source block's successor list, and 0
+      when the destination is not a successor;
+    - some arcs are not in the translation's CFG.  {!Vasm.Lower} gives
+      [Slow] blocks no successors, and replay moves between a slow block and
+      a block of another inline node (slow to main, main to slow, slow to
+      slow).  Such an arc gets slot 0's pc.  {!Vasm_profile} counts it but
+      [Vasm_profile.to_cfg] drops it, so Ext-TSP never sees it.  One
+      seed-1 [steady] pass (the no-JS and JS replays) has 32,690 of them
+      among 2,963,046 arcs (1.1%), every one between two inline nodes; see
+      DESIGN.md §7. *)
 
 type sink = {
   fetch : addr:int -> size:int -> unit;

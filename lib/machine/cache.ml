@@ -35,34 +35,33 @@ let create cfg =
 
 let config t = t.cfg
 
+(* One scan of the set: stop at the way holding [line]; on the way, keep the
+   first way with the smallest LRU stamp as the victim.  A plain loop over
+   local refs (kept in registers): an access neither raises nor allocates. *)
 let access t ~addr ~write:_ =
   let line = addr lsr t.line_shift in
-  let set = line land t.set_mask in
-  let base = set * t.cfg.ways in
-  t.clock <- t.clock + 1;
+  let ways = t.cfg.ways in
+  let base = (line land t.set_mask) * ways in
+  let stop = base + ways in
+  let tags = t.tags and lru = t.lru in
+  let clock = t.clock + 1 in
+  t.clock <- clock;
   t.accesses <- t.accesses + 1;
-  let hit = ref false in
-  let victim = ref base in
-  let oldest = ref max_int in
-  (try
-     for i = base to base + t.cfg.ways - 1 do
-       if t.tags.(i) = line then begin
-         t.lru.(i) <- t.clock;
-         hit := true;
-         raise Exit
-       end;
-       if t.lru.(i) < !oldest then begin
-         oldest := t.lru.(i);
-         victim := i
-       end
-     done
-   with Exit -> ());
-  if not !hit then begin
+  let i = ref base and victim = ref base in
+  while !i < stop && Array.unsafe_get tags !i <> line do
+    if Array.unsafe_get lru !i < Array.unsafe_get lru !victim then victim := !i;
+    incr i
+  done;
+  if !i < stop then begin
+    Array.unsafe_set lru !i clock;
+    true
+  end
+  else begin
     t.misses <- t.misses + 1;
-    t.tags.(!victim) <- line;
-    t.lru.(!victim) <- t.clock
-  end;
-  !hit
+    Array.unsafe_set tags !victim line;
+    Array.unsafe_set lru !victim clock;
+    false
+  end
 
 let probe t ~addr =
   let line = addr lsr t.line_shift in

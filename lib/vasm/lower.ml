@@ -74,8 +74,14 @@ type proto = {
 let lower repo tree ~mode =
   let protos = ref [] in
   let n_protos = ref 0 in
-  let main_of = Hashtbl.create 64 in
-  let slow_of = Hashtbl.create 16 in
+  let nodes = Inline_tree.nodes tree in
+  let node_bbs =
+    Array.map
+      (fun (n : Inline_tree.node) -> Hhbc.Func.basic_blocks (Hhbc.Repo.func repo n.Inline_tree.fid))
+      nodes
+  in
+  let main_of = Array.map (fun bbs -> Array.make (Array.length bbs) (-1)) node_bbs in
+  let slow_of = Array.map (fun bbs -> Array.make (Array.length bbs) (-1)) node_bbs in
   let instr_overhead = match mode with Optimized -> 0 | Instrumented -> instrumentation_bytes in
   let new_proto ~node ~bb ~role ~size =
     let p = { p_id = !n_protos; p_size = size + instr_overhead; p_succs = []; p_node = node; p_bb = bb; p_role = role } in
@@ -84,59 +90,49 @@ let lower repo tree ~mode =
     p
   in
   (* Pass 1: create main blocks (and slow blocks) for every (node, bb). *)
-  let node_blocks =
-    Array.map
-      (fun (n : Inline_tree.node) ->
-        let f = Hhbc.Repo.func repo n.Inline_tree.fid in
-        let bbs = Hhbc.Func.basic_blocks f in
-        Array.map
-          (fun (bb : Hhbc.Func.block) ->
-            let body = f.Hhbc.Func.body in
-            (* size: lowered instrs; inlined call sites contribute a guard
-               instead of the call sequence *)
-            let size = ref 0 in
-            let dyn = ref 0 in
-            for i = bb.start to bb.start + bb.len - 1 do
-              let inlined = Inline_tree.child_at tree n.Inline_tree.node_id i <> None in
-              if inlined then size := !size + inline_guard_size
-              else begin
-                size := !size + instr_size body.(i);
-                if is_dynamic body.(i) then incr dyn
-              end
-            done;
-            let main = new_proto ~node:n.Inline_tree.node_id ~bb:bb.Hhbc.Func.bb_id ~role:Vfunc.Main ~size:!size in
-            Hashtbl.replace main_of (n.Inline_tree.node_id, bb.Hhbc.Func.bb_id) main.p_id;
-            (* guards from inlined sites also need a side exit *)
-            let has_inlined_site =
-              let rec scan i =
-                i < bb.start + bb.len
-                && (Inline_tree.child_at tree n.Inline_tree.node_id i <> None || scan (i + 1))
-              in
-              scan bb.start
+  Array.iteri
+    (fun node_id (n : Inline_tree.node) ->
+      let f = Hhbc.Repo.func repo n.Inline_tree.fid in
+      let body = f.Hhbc.Func.body in
+      Array.iter
+        (fun (bb : Hhbc.Func.block) ->
+          (* size: lowered instrs; inlined call sites contribute a guard
+             instead of the call sequence *)
+          let size = ref 0 in
+          let dyn = ref 0 in
+          for i = bb.start to bb.start + bb.len - 1 do
+            let inlined = Inline_tree.child_at tree node_id i <> None in
+            if inlined then size := !size + inline_guard_size
+            else begin
+              size := !size + instr_size body.(i);
+              if is_dynamic body.(i) then incr dyn
+            end
+          done;
+          let main = new_proto ~node:node_id ~bb:bb.Hhbc.Func.bb_id ~role:Vfunc.Main ~size:!size in
+          main_of.(node_id).(bb.Hhbc.Func.bb_id) <- main.p_id;
+          (* guards from inlined sites also need a side exit *)
+          let has_inlined_site =
+            let rec scan i =
+              i < bb.start + bb.len && (Inline_tree.child_at tree node_id i <> None || scan (i + 1))
             in
-            if !dyn > 0 || has_inlined_site then begin
-              let slow = new_proto ~node:n.Inline_tree.node_id ~bb:bb.Hhbc.Func.bb_id ~role:Vfunc.Slow ~size:(20 + (6 * !dyn)) in
-              Hashtbl.replace slow_of (n.Inline_tree.node_id, bb.Hhbc.Func.bb_id) slow.p_id
-            end;
-            bb)
-          bbs)
-      (Inline_tree.nodes tree)
-  in
+            scan bb.start
+          in
+          if !dyn > 0 || has_inlined_site then begin
+            let slow = new_proto ~node:node_id ~bb:bb.Hhbc.Func.bb_id ~role:Vfunc.Slow ~size:(20 + (6 * !dyn)) in
+            slow_of.(node_id).(bb.Hhbc.Func.bb_id) <- slow.p_id
+          end)
+        node_bbs.(node_id))
+    nodes;
   let proto_arr = Array.of_list (List.rev !protos) in
   Array.iteri (fun i p -> assert (p.p_id = i)) proto_arr;
   (* Pass 2: connect successors. *)
   Array.iteri
     (fun node_id bbs ->
-      let n = Inline_tree.node tree node_id in
-      let f = Hhbc.Repo.func repo n.Inline_tree.fid in
-      let body = f.Hhbc.Func.body in
       Array.iter
         (fun (bb : Hhbc.Func.block) ->
-          let main = proto_arr.(Hashtbl.find main_of (node_id, bb.Hhbc.Func.bb_id)) in
+          let main = proto_arr.(main_of.(node_id).(bb.Hhbc.Func.bb_id)) in
           (* bytecode CFG successors *)
-          let cfg_succs =
-            List.map (fun s -> Hashtbl.find main_of (node_id, s)) bb.Hhbc.Func.succs
-          in
+          let cfg_succs = List.map (fun s -> main_of.(node_id).(s)) bb.Hhbc.Func.succs in
           (* inlined callee entries from sites within this bb *)
           let callee_entries = ref [] in
           let returns_here = ref [] in
@@ -144,30 +140,27 @@ let lower repo tree ~mode =
             match Inline_tree.child_at tree node_id i with
             | None -> ()
             | Some child ->
-              let child_fid = child.Inline_tree.fid in
-              let child_f = Hhbc.Repo.func repo child_fid in
-              let child_bbs = Hhbc.Func.basic_blocks child_f in
-              callee_entries :=
-                Hashtbl.find main_of (child.Inline_tree.node_id, 0) :: !callee_entries;
+              let child_id = child.Inline_tree.node_id in
+              let child_f = Hhbc.Repo.func repo child.Inline_tree.fid in
+              callee_entries := main_of.(child_id).(0) :: !callee_entries;
               (* callee blocks ending in Ret flow back to this block *)
               Array.iter
                 (fun (cbb : Hhbc.Func.block) ->
                   let last = child_f.Hhbc.Func.body.(cbb.start + cbb.len - 1) in
                   if last = I.Ret then
-                    returns_here := Hashtbl.find main_of (child.Inline_tree.node_id, cbb.Hhbc.Func.bb_id) :: !returns_here)
-                child_bbs
+                    returns_here := main_of.(child_id).(cbb.Hhbc.Func.bb_id) :: !returns_here)
+                node_bbs.(child_id)
           done;
-          let slow = Hashtbl.find_opt slow_of (node_id, bb.Hhbc.Func.bb_id) in
+          let slow = slow_of.(node_id).(bb.Hhbc.Func.bb_id) in
           (* append: return arcs from inlined callees may already be here *)
           main.p_succs <-
             main.p_succs @ cfg_succs @ List.rev !callee_entries
-            @ (match slow with Some s -> [ s ] | None -> []);
+            @ if slow >= 0 then [ slow ] else [];
           List.iter
             (fun ret_block -> proto_arr.(ret_block).p_succs <- proto_arr.(ret_block).p_succs @ [ main.p_id ])
-            (List.rev !returns_here);
-          ignore body)
+            (List.rev !returns_here))
         bbs)
-    node_blocks;
+    node_bbs;
   let blocks =
     Array.map
       (fun p ->
@@ -185,7 +178,7 @@ let lower repo tree ~mode =
     Vfunc.root_fid = (Inline_tree.root tree).Inline_tree.fid;
     tree;
     blocks;
-    entry = Hashtbl.find main_of (0, 0);
+    entry = main_of.(0).(0);
     main_of;
     slow_of;
   }

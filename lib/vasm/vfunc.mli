@@ -26,8 +26,8 @@ type t = {
   tree : Inline_tree.t;
   blocks : block array;  (** indexed by id *)
   entry : int;
-  main_of : (int * int, int) Hashtbl.t;  (** (node, bb) -> main block id *)
-  slow_of : (int * int, int) Hashtbl.t;  (** (node, bb) -> slow block id *)
+  main_of : int array array;  (** [.(node).(bb)] -> main block id, -1 if none *)
+  slow_of : int array array;  (** [.(node).(bb)] -> slow block id, -1 if none *)
 }
 
 (** Total code bytes. *)
@@ -39,9 +39,16 @@ val n_blocks : t -> int
 val arcs : t -> (int * int) array
 
 (** [main_block t ~node ~bb] — main block for a bytecode block of an inline
-    node, if lowered. *)
+    node, if lowered; [None] for an out-of-range node or bb. *)
 val main_block : t -> node:int -> bb:int -> int option
 
 val slow_block : t -> node:int -> bb:int -> int option
+
+(** [main_id t ~node ~bb] is [main_block] without the option: the block id,
+    or -1 when there is none (also for an out-of-range node or bb).  Replay
+    resolves every executed bytecode block through it. *)
+val main_id : t -> node:int -> bb:int -> int
+
+val slow_id : t -> node:int -> bb:int -> int
 
 val pp_summary : Format.formatter -> t -> unit

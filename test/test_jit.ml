@@ -308,6 +308,75 @@ let test_vasm_profile_roundtrip () =
   Alcotest.(check bool) "call graph survives" true
     (Jit.Vasm_profile.call_graph measured = Jit.Vasm_profile.call_graph back)
 
+(* --- trace adapter --- *)
+
+(* A handler built before any placement must follow the code cache as it is
+   at each event: a later [place], a [reset] and a re-place in a new order. *)
+let test_trace_adapter_follows_cache () =
+  let repo, _, _, _ = profiled_setup () in
+  let cache = Jit.Code_cache.create () in
+  let events = ref [] in
+  let sink =
+    {
+      Jit.Trace_adapter.fetch = (fun ~addr ~size -> events := `Fetch (addr, size) :: !events);
+      branch = (fun ~pc ~target ~taken -> events := `Branch (pc, target, taken) :: !events);
+      load = (fun ~addr:_ -> ());
+      store = (fun ~addr:_ -> ());
+    }
+  in
+  let h = Jit.Trace_adapter.handler ~cache sink in
+  let vf = mk_vf repo "hot" in
+  let n = VF.n_blocks vf in
+  (* a conditional block: its second successor has branch slot 1 *)
+  let src =
+    (List.find (fun (b : VF.block) -> List.length b.VF.succs >= 2) (Array.to_list vf.VF.blocks))
+      .VF.id
+  in
+  let succs = Array.of_list vf.VF.blocks.(src).VF.succs in
+  let drain () =
+    let e = List.rev !events in
+    events := [];
+    e
+  in
+  h.Jit.Context.on_vblock vf src;
+  h.Jit.Context.on_varc vf ~src ~dst:succs.(1);
+  Alcotest.(check int) "no placement, no events" 0 (List.length (drain ()));
+  let expect placed =
+    h.Jit.Context.on_vblock vf src;
+    h.Jit.Context.on_varc vf ~src ~dst:succs.(1);
+    let src_end = Jit.Code_cache.block_addr placed src + vf.VF.blocks.(src).VF.size in
+    let dst = Jit.Code_cache.block_addr placed succs.(1) in
+    Alcotest.(check bool) "fetch and branch at the placed addresses" true
+      (drain ()
+      = [ `Fetch (Jit.Code_cache.block_addr placed src, vf.VF.blocks.(src).VF.size);
+          `Branch (src_end - 8, dst, dst <> src_end)
+        ])
+  in
+  (* placed after the handler was built *)
+  let first = Option.get (Jit.Code_cache.place cache vf ~order:(Array.init n Fun.id) ~n_hot:n) in
+  expect first;
+  (* reset: the old placement is gone *)
+  Jit.Code_cache.reset cache;
+  h.Jit.Context.on_vblock vf src;
+  Alcotest.(check int) "reset, no events" 0 (List.length (drain ()));
+  (* re-placed after another translation, in reverse order *)
+  let tiny = mk_vf repo "tiny" in
+  ignore
+    (Jit.Code_cache.place cache tiny ~order:(Array.init (VF.n_blocks tiny) Fun.id)
+       ~n_hot:(VF.n_blocks tiny));
+  let second =
+    Option.get (Jit.Code_cache.place cache vf ~order:(Array.init n (fun i -> n - 1 - i)) ~n_hot:n)
+  in
+  Alcotest.(check bool) "new addresses" true
+    (Jit.Code_cache.block_addr second src <> Jit.Code_cache.block_addr first src);
+  expect second;
+  (* an arc to a block that is not a successor takes slot 0's pc *)
+  let other = List.find (fun b -> not (Array.mem b succs)) (List.init n Fun.id) in
+  h.Jit.Context.on_varc vf ~src ~dst:other;
+  let src_end = Jit.Code_cache.block_addr second src + vf.VF.blocks.(src).VF.size in
+  Alcotest.(check bool) "non-successor uses slot 0" true
+    (match drain () with [ `Branch (pc, _, _) ] -> pc = src_end - 4 | _ -> false)
+
 let test_tiers_ordering () =
   let cyc m = Jit.Tiers.cycles_per_instr m in
   Alcotest.(check bool) "interp slowest" true
@@ -345,6 +414,9 @@ let () =
           Alcotest.test_case "weight drift bounds" `Quick test_weights_drift_bounded;
           Alcotest.test_case "cold dilution" `Quick test_code_cache_cold_dilution;
           Alcotest.test_case "profile roundtrip" `Quick test_vasm_profile_roundtrip
+        ] );
+      ( "trace adapter",
+        [ Alcotest.test_case "follows the code cache" `Quick test_trace_adapter_follows_cache
         ] );
       ("tiers", [ Alcotest.test_case "cost ordering" `Quick test_tiers_ordering ])
     ]

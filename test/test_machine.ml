@@ -54,6 +54,46 @@ let test_tlb_page_granularity () =
   Alcotest.(check bool) "same page hits" true (Cache.access tlb ~addr:0x1FFF ~write:false);
   Alcotest.(check bool) "next page misses" false (Cache.access tlb ~addr:0x2000 ~write:false)
 
+(* Pins [Cache.access] exactly: the md5 of the hit/miss sequence and the
+   final stats for a seeded address stream, over several geometries.  The
+   stream mixes a skewed reuse set (LRU refresh decides what survives), runs
+   of consecutive lines and far random lines, with a flush halfway through.
+   The md5s were recorded on the try/raise implementation that the
+   allocation-free loop replaced. *)
+let cache_trace_digest ~sets ~ways =
+  let line = 64 in
+  let c = Cache.create { Cache.name = "pin"; sets; ways; line_bytes = line } in
+  let lines = sets * ways in
+  let rng = Js_util.Rng.create (1000 + (sets * 31) + ways) in
+  let buf = Buffer.create 20_000 in
+  let last = ref 0 in
+  for i = 0 to 19_999 do
+    if i = 10_000 then Cache.flush c;
+    let r = Js_util.Rng.int rng 100 in
+    let l =
+      if r < 60 then Js_util.Rng.zipf rng ~n:(2 * lines) ~s:0.9
+      else if r < 85 then !last + 1
+      else Js_util.Rng.int rng (16 * lines)
+    in
+    last := l;
+    let addr = (l * line) + Js_util.Rng.int rng line in
+    Buffer.add_char buf (if Cache.access c ~addr ~write:(r land 1 = 0) then 'H' else 'M')
+  done;
+  let s = Cache.stats c in
+  Printf.sprintf "%s %d %d" (Digest.to_hex (Digest.string (Buffer.contents buf))) s.Cache.accesses
+    s.Cache.misses
+
+let test_cache_pinned () =
+  List.iter
+    (fun (sets, ways, want) ->
+      Alcotest.(check string) (Printf.sprintf "%d sets x %d ways" sets ways) want
+        (cache_trace_digest ~sets ~ways))
+    [ (64, 1, "6ac9f3edf62bf55e63896004abed6ebd 20000 9313");
+      (16, 4, "7f9a5879b24b9e865b09f2aafc3fb8fb 20000 8975");
+      (4, 16, "db7f9aa4b5c737e3770c6aaef0e7e34e 20000 9167");
+      (1, 8, "6f9f4498f30e9f62ae57fe751cdba76d 20000 11297")
+    ]
+
 (* --- branch predictor --- *)
 
 let test_branch_learns_loop () =
@@ -154,7 +194,8 @@ let () =
           Alcotest.test_case "set isolation" `Quick test_cache_set_isolation;
           Alcotest.test_case "flush/reset" `Quick test_cache_flush_and_reset;
           Alcotest.test_case "geometry validation" `Quick test_cache_geometry_validation;
-          Alcotest.test_case "tlb pages" `Quick test_tlb_page_granularity
+          Alcotest.test_case "tlb pages" `Quick test_tlb_page_granularity;
+          Alcotest.test_case "pinned behaviour" `Quick test_cache_pinned
         ] );
       ( "branch",
         [ Alcotest.test_case "loop learning" `Quick test_branch_learns_loop;

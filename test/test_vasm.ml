@@ -137,6 +137,64 @@ let test_dynamic_ops_counting () =
   let n = Lower.dynamic_ops f.Hhbc.Func.body ~start:0 ~len:(Array.length f.Hhbc.Func.body) in
   Alcotest.(check bool) "at least the CallMethod" true (n >= 1)
 
+(* The dense (node, bb) -> block id tables agree with [blocks] for every
+   translation of the profiled codegen app: each Main and Slow block is found
+   at its own (node, bb), every lowered bytecode block has a main block, and
+   out-of-range lookups answer [None]. *)
+let test_dense_ids_match_blocks () =
+  let app = Workload.Codegen.generate Workload.App_spec.tiny in
+  let repo = app.Workload.Codegen.repo in
+  let counters = Jit_profile.Counters.create repo in
+  let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
+  let engine =
+    Interp.Engine.create ~probes:(Jit_profile.Collector.probes counters) repo
+      (Mh_runtime.Heap.create repo layouts)
+  in
+  let mix = Workload.Request.mix app ~region:0 ~bucket:0 in
+  let rng = Js_util.Rng.create 1 in
+  for _ = 1 to 200 do
+    ignore (Workload.Request.invoke engine app (Workload.Request.sample rng mix))
+  done;
+  let inlined = ref 0 and slow = ref 0 in
+  for f = 0 to Hhbc.Repo.n_funcs repo - 1 do
+    let vf = Jit.Compiler.plan_and_lower repo counters Jit.Compiler.default_config f in
+    let nodes = IT.nodes vf.VF.tree in
+    inlined := !inlined + IT.n_inlined vf.VF.tree;
+    Array.iter
+      (fun (b : VF.block) ->
+        let found =
+          match b.VF.role with
+          | VF.Main -> VF.main_block vf ~node:b.VF.node ~bb:b.VF.bb
+          | VF.Slow ->
+            incr slow;
+            VF.slow_block vf ~node:b.VF.node ~bb:b.VF.bb
+        in
+        Alcotest.(check (option int)) "block at its own (node, bb)" (Some b.VF.id) found)
+      vf.VF.blocks;
+    Array.iteri
+      (fun node (n : IT.node) ->
+        let n_bbs = Array.length (Hhbc.Func.basic_blocks (Hhbc.Repo.func repo n.IT.fid)) in
+        for bb = 0 to n_bbs - 1 do
+          let m = Option.get (VF.main_block vf ~node ~bb) in
+          Alcotest.(check bool) "main block's own coordinates" true
+            (let b = vf.VF.blocks.(m) in
+             b.VF.node = node && b.VF.bb = bb && b.VF.role = VF.Main)
+        done;
+        List.iter
+          (fun bb ->
+            Alcotest.(check (option int)) "bb out of range" None (VF.main_block vf ~node ~bb);
+            Alcotest.(check (option int)) "slow bb out of range" None (VF.slow_block vf ~node ~bb))
+          [ -1; n_bbs; max_int; min_int ])
+      nodes;
+    List.iter
+      (fun node ->
+        Alcotest.(check (option int)) "node out of range" None (VF.main_block vf ~node ~bb:0);
+        Alcotest.(check (option int)) "slow node out of range" None (VF.slow_block vf ~node ~bb:0))
+      [ -1; Array.length nodes; max_int; min_int ]
+  done;
+  Alcotest.(check bool) "some translation inlines" true (!inlined > 0);
+  Alcotest.(check bool) "some translation has slow paths" true (!slow > 0)
+
 let () =
   Alcotest.run "vasm"
     [ ( "inline tree",
@@ -149,6 +207,7 @@ let () =
           Alcotest.test_case "slow paths" `Quick test_lower_slow_paths;
           Alcotest.test_case "inlined callee" `Quick test_lower_inlined_callee;
           Alcotest.test_case "instrumented size" `Quick test_instrumented_bigger;
-          Alcotest.test_case "dynamic op count" `Quick test_dynamic_ops_counting
+          Alcotest.test_case "dynamic op count" `Quick test_dynamic_ops_counting;
+          Alcotest.test_case "dense ids match blocks" `Quick test_dense_ids_match_blocks
         ] )
     ]
